@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,6 +44,13 @@ def _fmt(v) -> str:
 
 def _float_list(text) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok != ""]
+
+
+def _positive_list(text, flag) -> list[float]:
+    values = _float_list(text)
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{flag} values must be finite and positive")
+    return values
 
 
 def _config_lines(cfg: dict) -> list[str]:
@@ -155,7 +163,7 @@ def _sweep_plan(args) -> list[SweepPoint]:
         if any(om <= 0 for om in omegas):
             raise ValueError("--omegaR requires strictly positive omega values")
         for om in omegas:
-            for o_r in _float_list(args.omegaR):
+            for o_r in _positive_list(args.omegaR, "--omegaR"):
                 r_val = o_r / om
                 points.append(SweepPoint(
                     theta=args.theta, omega=om, R=r_val,
@@ -164,7 +172,7 @@ def _sweep_plan(args) -> list[SweepPoint]:
                 ))
     elif args.R:
         for om in omegas:
-            for r_val in _float_list(args.R):
+            for r_val in _positive_list(args.R, "--R"):
                 points.append(SweepPoint(
                     theta=args.theta, omega=om, R=r_val,
                     N=args.N or default_node_count(r_val),
@@ -176,8 +184,8 @@ def _sweep_plan(args) -> list[SweepPoint]:
 
 
 def cmd_sweep(args) -> int:
-    table = _resolve_profile(args)
     plan = _sweep_plan(args)
+    table = _resolve_profile(args)
     cfg = {
         "command": "sweep", "theta": args.theta, "omega": args.omega,
         "omegaR": args.omegaR or "", "R": args.R or "",
@@ -294,6 +302,8 @@ def _apply_config_file(parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[i + 1]
     with open(path) as fh:
         cfg = json.load(fh)
@@ -322,7 +332,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         argv = _apply_config_file(parser, argv)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -4,10 +4,14 @@ K(omega, R, theta) is the operator norm of the solution map
 g -> phi from the cosh(theta x)-weighted sup norm to the plain sup
 norm.  On the grid this is the exact infinity norm of
 (solve o diag-weights): max over rows of the weighted absolute row
-sums of the inverse, computed by streaming unit-vector solves through
-the cached banded factorization.  A Hager-style one-norm power scheme
-provides a certified lower estimate for sizes where the exact method
-is too expensive.
+sums of the inverse.  With s = (+1, -1, +1, ...) on the interleaved
+unknowns, diag(s) L diag(s) has off-diagonals -1/h^2 and -2 V1 V2 <= 0
+and is positive definite, hence a Stieltjes matrix with an entrywise
+nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
+max(s * solve(s * w)), one banded solve.  Under orthogonality
+constraints K is summed from unit-vector column solves, halved by the
+reflection symmetry, with no column dropped.  A Hager-style one-norm
+power scheme provides a certified lower estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .operator1d import DiscreteOperator, Grid, assemble, interleave
 from .profile import ProfileTable
 
 EXACT_SIZE_GUARD = 200_000
-TRUNCATE_MIN_SIZE = 20_000
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 EIG_SEED = 987654321
@@ -67,17 +70,13 @@ class _InteriorProjector:
         return vec - self.zrows.T @ coef
 
 
-def _reflect_columns(z, m):
-    """Apply the node-reversal/component-swap involution to columns."""
-    return z.reshape(m // 2, 2, -1)[::-1, ::-1, :].reshape(m, -1)
-
-
 def _stream_columns(solve_block, js_all, m, weights, reflect, jobs=2, block=None):
     """S_i = sum over solved columns j of |M_ij| * weights_j, streamed.
 
     When reflect is set, each solved column j also contributes the
-    weighted modulus of its mirror column (operator and weights commute
-    with the reflection), halving the number of solves.
+    weighted modulus of its mirror column m-1-j: reversing the
+    interleaved vector reverses the nodes and swaps the components, and
+    operator and weights commute with it.
     """
     if block is None:
         block = int(np.clip(2.0e7 // max(m, 1), 16, 1024))
@@ -87,9 +86,8 @@ def _stream_columns(solve_block, js_all, m, weights, reflect, jobs=2, block=None
         cols = solve_block(js)
         np.abs(cols, out=cols)
         part = cols @ weights[js]
-        if reflect is not None:
-            refl = reflect[js]
-            part += _reflect_columns(cols, m) @ weights[refl]
+        if reflect:
+            part += cols[::-1] @ weights[m - 1 - js]
         return part
 
     if jobs <= 1 or len(chunks) <= 1:
@@ -110,91 +108,42 @@ def inv_constant_exact(
     ctx: NormContext,
     orth_elements=None,
     size_guard: int = EXACT_SIZE_GUARD,
-    lambda_min_hint: float | None = None,
-    rel_tail: float = 1e-12,
-    jobs: int = 2,
 ) -> float:
     """Exact discrete K: the infinity norm of solve composed with the
     weight map (and with the orthogonality projector, when given).
 
-    Column solves against the cached factorization, with two exact-size
-    reductions: the reflection symmetry of the assembled operator lets
-    each solved column stand in for its mirror, and columns whose
-    weights are too small to matter are dropped against the certified
-    bound sum(w_dropped)/lambda_min <= rel_tail * K (checked against a
-    single-row probe lower bound before dropping anything).
+    Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
+    unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
+    row sums are s * solve(s * w).  Constrained K streams unit-vector
+    column solves; the reflection symmetry of operator, weights and
+    projector lets each solved column stand in for its mirror.
     """
     m = op.n_unknowns
     if m > size_guard:
         raise BudgetExceeded(f"{m} unknowns exceed the exact-method guard {size_guard}")
     weights = _interior_weights(op, ctx)
-    op.factorization()
 
-    if orth_elements:
-        proj = _InteriorProjector(Projector(orth_elements, op.grid, ctx))
-        y_carr = op.solve_interior(proj.carriers)      # m x k
-        gzi = proj.gram_inv @ proj.zrows               # k x m
+    if not orth_elements:
+        if np.any(op.coup < 0):
+            raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+        s = np.ones(m)
+        s[1::2] = -1.0
+        return float(np.max(s * op.solve_interior(s * weights)))
 
-        def solve_block(js):
-            b = np.zeros((m, js.size), order="F")
-            b[js, np.arange(js.size)] = 1.0
-            z = op.solve_interior(b)
-            z -= y_carr @ gzi[:, js]
-            return z
+    proj = _InteriorProjector(Projector(orth_elements, op.grid, ctx))
+    y_carr = op.solve_interior(proj.carriers)      # m x k
+    gzi = proj.gram_inv @ proj.zrows               # k x m
 
-        def row_sum(i):
-            e = np.zeros(m)
-            e[i] = 1.0
-            row = proj.apply_transpose(op.solve_interior(e))
-            return float(np.abs(row) @ weights)
+    def solve_block(js):
+        b = np.zeros((m, js.size), order="F")
+        b[js, np.arange(js.size)] = 1.0
+        z = op.solve_interior(b)
+        z -= y_carr @ gzi[:, js]
+        return z
 
-    else:
-        proj = None
-
-        def solve_block(js):
-            b = np.zeros((m, js.size), order="F")
-            b[js, np.arange(js.size)] = 1.0
-            return op.solve_interior(b)
-
-        def row_sum(i):
-            e = np.zeros(m)
-            e[i] = 1.0
-            return float(np.abs(op.solve_interior(e)) @ weights)
-
-    # column subset: drop columns whose total possible contribution is
-    # below rel_tail times a probe lower bound on K
-    keep = np.ones(m, dtype=bool)
-    if m > TRUNCATE_MIN_SIZE:
-        k0 = row_sum(int(np.argmax(weights)))
-        lam = lambda_min_hint
-        if lam is None or not np.isfinite(lam) or lam <= 0:
-            lam = smallest_eigenvalue(op)
-        order = np.argsort(weights)
-        csum = np.cumsum(weights[order])
-        budget = 0.5 * rel_tail * k0 * lam
-        ndrop = int(np.searchsorted(csum, budget))
-        if ndrop > 0:
-            dropped = order[:ndrop]
-            tail = csum[ndrop - 1] / lam
-            if proj is not None:
-                t = np.abs(gzi[:, dropped]) @ weights[dropped]
-                tail += float(np.max(np.abs(y_carr) @ t))
-            if tail <= rel_tail * k0:
-                keep[dropped] = False
-
-    # reflection halving: columns strictly left of center stand in for
-    # their mirrors on the right; the center-node pair maps onto itself
-    # and is solved explicitly
-    n_nodes = m // 2
-    t_idx = np.arange(m) // 2
-    t_c = (n_nodes - 1) // 2
-    refl = 2 * (n_nodes - 1 - t_idx) + 1 - (np.arange(m) % 2)
-    js_kept = np.nonzero(keep)[0]
-    left = js_kept[t_idx[js_kept] < t_c]
-    center = js_kept[t_idx[js_kept] == t_c]
-    s = _stream_columns(solve_block, left, m, weights, refl, jobs=jobs)
-    if center.size:
-        s += _stream_columns(solve_block, center, m, weights, None, jobs=1)
+    # column m-1-j of M is column j reversed, so the first half of the
+    # columns covers all of them, for odd and even node counts alike
+    s = _stream_columns(solve_block, np.arange(m // 2), m, weights, reflect=True)
     return float(np.max(s))
 
 
@@ -371,9 +320,7 @@ def run_sweep_entry(
             lam = exc.last_value if exc.last_value is not None else float("nan")
             err = "lambda_min: iteration cap"
         if point.method == "exact":
-            k_val = inv_constant_exact(
-                op, ctx, orth_elements=elements, lambda_min_hint=lam
-            )
+            k_val = inv_constant_exact(op, ctx, orth_elements=elements)
         elif point.method == "estimated":
             k_val = inv_constant_estimate(
                 op, ctx, orth_elements=elements, seed=estimator_seed

@@ -564,15 +564,23 @@ def get_profile(
     newton_tol: float = DEFAULT_NEWTON_TOL,
     cache_dir=None,
 ) -> ProfileTable:
-    """Solve or reuse a cached table keyed by (T, N, newton_tol)."""
+    """Solve or reuse a cached table keyed by (T, N, newton_tol).
+
+    The file name rounds T and newton_tol, so a cached table is served
+    only when its header matches the request exactly; otherwise the
+    table is solved fresh and the file is left alone.
+    """
     if cache_dir is None:
         cache_dir = os.environ.get("SEGKERNEL_CACHE")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = cache_path(cache_dir, T, N, newton_tol)
-        if os.path.exists(path):
-            return load_profile(path)
-        table = solve_profile(T, N, newton_tol)
-        save_profile(table, path)
-        return table
-    return solve_profile(T, N, newton_tol)
+    if not cache_dir:
+        return solve_profile(T, N, newton_tol)
+    os.makedirs(cache_dir, exist_ok=True)
+    path = cache_path(cache_dir, T, N, newton_tol)
+    if os.path.exists(path):
+        table = load_profile(path)
+        if (table.half_length, table.n_nodes, table.newton_tol) == (T, N, newton_tol):
+            return table
+        return solve_profile(T, N, newton_tol)
+    table = solve_profile(T, N, newton_tol)
+    save_profile(table, path)
+    return table

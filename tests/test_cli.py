@@ -172,6 +172,23 @@ class TestConfigAndErrors:
         assert main(["--config", "/nonexistent.json"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--R", "0"), ("--R", "20,nan"), ("--omegaR", "0"), ("--omegaR", "inf"),
+    ])
+    def test_nonpositive_lengths_rejected(self, cache_dir, tmp_path, capsys,
+                                          flag, value):
+        code = main(["sweep", *common_args(cache_dir), "--omega", "0.2",
+                     flag, value, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_trailing_config_flag(self, capsys):
+        assert main(["sweep", "--config"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--config" in err
+
     def test_unwritable_output(self, cache_dir):
         code = main(["solve", *common_args(cache_dir), "--omega", "0.5",
                      "--R", "20", "--N", "401,801",

@@ -18,6 +18,11 @@ from segkernel.operator1d import Grid, assemble
 from oracles import dense_matrix
 
 
+# (R, N, omega): odd and even node counts, and omega = 0
+DENSE_CASES = [(10.0, 201, 0.5), (10.0, 200, 0.5), (10.0, 202, 0.5), (40.0, 1201, 0.0)]
+DENSE_IDS = [f"R{r:g}-N{n}-omega{om:g}" for r, n, om in DENSE_CASES]
+
+
 @pytest.fixture(scope="module")
 def small_case(table):
     grid = Grid(10.0, 201)
@@ -39,23 +44,27 @@ class TestExactNorm:
         s = _stream_columns(solve_block, np.arange(2), 2, w, None, jobs=1)
         assert np.max(s) == max(w[0] / d[0], w[1] / d[1])
 
-    def test_matches_dense_inverse(self, table, small_case):
-        grid, op, dense = small_case
+    @pytest.mark.parametrize("r_val, n, omega", DENSE_CASES, ids=DENSE_IDS)
+    def test_matches_dense_inverse(self, table, r_val, n, omega):
+        grid = Grid(r_val, n)
+        op = assemble(table, omega, grid)
         ctx = NormContext(0.5)
         w = _interior_weights(op, ctx)
-        k_dense = float(np.max(np.abs(np.linalg.inv(dense)) @ w))
+        k_dense = float(np.max(np.abs(np.linalg.inv(dense_matrix(table, omega, grid))) @ w))
         k = inv_constant_exact(op, ctx)
         assert abs(k - k_dense) / k_dense <= 1e-10
 
-    def test_constrained_matches_dense(self, table, small_case):
-        grid, op, dense = small_case
+    @pytest.mark.parametrize("r_val, n, omega", DENSE_CASES, ids=DENSE_IDS)
+    def test_constrained_matches_dense(self, table, r_val, n, omega):
+        grid = Grid(r_val, n)
+        op = assemble(table, omega, grid)
         ctx = NormContext(0.5)
         kb = kernel_basis(table, grid)
         proj = _InteriorProjector(Projector([kb.z1], grid, ctx))
         w = _interior_weights(op, ctx)
         m = op.n_unknowns
         p_mat = np.eye(m) - proj.carriers @ (proj.gram_inv @ proj.zrows)
-        mat = np.linalg.inv(dense) @ p_mat @ np.diag(w)
+        mat = np.linalg.inv(dense_matrix(table, omega, grid)) @ p_mat @ np.diag(w)
         k_dense = float(np.max(np.sum(np.abs(mat), axis=1)))
         k = inv_constant_exact(op, ctx, orth_elements=[kb.z1])
         assert abs(k - k_dense) / k_dense <= 1e-10
@@ -82,18 +91,6 @@ class TestExactNorm:
         op = assemble(table, 0.5, Grid(10.0, 201))
         with pytest.raises(BudgetExceeded):
             inv_constant_exact(op, NormContext(0.5), size_guard=100)
-
-    def test_column_truncation_matches_full(self, table, monkeypatch):
-        # force the truncation path and compare against the plain one
-        import segkernel.invertibility as inv
-
-        grid = Grid(60.0, 1601)
-        op = assemble(table, 0.3, grid)
-        ctx = NormContext(0.5)
-        k_plain = inv_constant_exact(op, ctx)
-        monkeypatch.setattr(inv, "TRUNCATE_MIN_SIZE", 100)
-        k_trunc = inv_constant_exact(assemble(table, 0.3, grid), ctx)
-        assert abs(k_trunc - k_plain) / k_plain <= 1e-11
 
 
 class TestEstimate:

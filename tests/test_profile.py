@@ -212,6 +212,16 @@ class TestCache:
         second = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
         assert np.array_equal(first.v1, second.v1)
 
+    def test_rounded_file_name_never_serves_other_parameters(self, tmp_path):
+        get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        before = path.read_bytes()
+        near = get_profile(T=12.0000001, N=1201, newton_tol=1e-9,
+                           cache_dir=str(tmp_path))
+        assert near.half_length == 12.0000001
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGKERNEL_CACHE", str(tmp_path))
         get_profile(T=12.0, N=1201, newton_tol=1e-9)
