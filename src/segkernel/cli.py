@@ -158,29 +158,25 @@ def cmd_counterexample(args) -> int:
 
 def _sweep_plan(args) -> list[SweepPoint]:
     omegas = _float_list(args.omega)
-    points = []
+    if not all(math.isfinite(om) and om >= 0 for om in omegas):
+        raise ValueError("--omega values must be finite and nonnegative")
+    if not (math.isfinite(args.theta) and args.theta > 0):
+        raise ValueError("--theta must be finite and positive")
     if args.omegaR:
         if any(om <= 0 for om in omegas):
             raise ValueError("--omegaR requires strictly positive omega values")
-        for om in omegas:
-            for o_r in _positive_list(args.omegaR, "--omegaR"):
-                r_val = o_r / om
-                points.append(SweepPoint(
-                    theta=args.theta, omega=om, R=r_val,
-                    N=args.N or default_node_count(r_val),
-                    orth_mode=args.orth_mode, method=args.method,
-                ))
+        pairs = [(om, o_r / om) for om in omegas
+                 for o_r in _positive_list(args.omegaR, "--omegaR")]
     elif args.R:
-        for om in omegas:
-            for r_val in _positive_list(args.R, "--R"):
-                points.append(SweepPoint(
-                    theta=args.theta, omega=om, R=r_val,
-                    N=args.N or default_node_count(r_val),
-                    orth_mode=args.orth_mode, method=args.method,
-                ))
+        pairs = [(om, r_val) for om in omegas for r_val in _positive_list(args.R, "--R")]
     else:
         raise ValueError("need --omegaR or --R")
-    return points
+    return [
+        SweepPoint(theta=args.theta, omega=om, R=r_val,
+                   N=args.N or default_node_count(r_val),
+                   orth_mode=args.orth_mode, method=args.method)
+        for om, r_val in pairs
+    ]
 
 
 def cmd_sweep(args) -> int:

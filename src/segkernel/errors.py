@@ -38,7 +38,7 @@ class ResolutionInsufficient(SegkernelError):
 
 
 class NoConvergence(SegkernelError):
-    """Eigenvalue iteration hit the iteration cap.
+    """Eigenvalue iteration hit the iteration cap or failed its certificate.
 
     Carries the last Rayleigh quotient in ``last_value``.
     """

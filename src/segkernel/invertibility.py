@@ -11,7 +11,9 @@ nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve.  Under orthogonality
 constraints K is summed from unit-vector column solves, halved by the
 reflection symmetry, with no column dropped.  A Hager-style one-norm
-power scheme provides a certified lower estimate.
+power scheme provides a certified lower estimate.  The smallest
+eigenvalue comes from inverse iteration on L - omega^2 I = L(0), with a
+Cholesky-inertia check as its lower bound.
 """
 
 from __future__ import annotations
@@ -206,11 +208,11 @@ def inv_constant_estimate(
     return best
 
 
-def _shifted_factor(op: DiscreteOperator, shift: float):
-    band = op.band.copy()
-    band[2] -= shift
+def _shifted_factor(op: DiscreteOperator, sigma: float):
+    """Cholesky factor of L - sigma I, or None if that is not positive
+    definite (by Sylvester inertia, success proves sigma < lambda_min)."""
     try:
-        return cholesky_banded(band, lower=False)
+        return cholesky_banded(op.shifted_band(sigma), lower=False)
     except np.linalg.LinAlgError:
         return None
 
@@ -220,50 +222,46 @@ def smallest_eigenvalue(
     eig_tol: float = EIG_TOL,
     max_iters: int = EIG_MAX_ITERS,
 ) -> float:
-    """Smallest eigenvalue of the interior banded matrix.
+    """Certified smallest eigenvalue of the interior banded matrix.
 
-    Inverse power iteration on the cached factorization; when the low
-    spectrum is clustered (successive Rayleigh quotients crawling), the
-    iteration re-factors once with an Aitken-extrapolated shift just
-    below the limit, which collapses the convergence ratio.  Converged
-    when successive Rayleigh quotients differ by < eig_tol * |value|.
+    L = L(0) + omega^2 I exactly, so inverse power iteration runs on the
+    factor of L - omega^2 I (the cached factor at omega = 0, or if that
+    shift does not factor), whose convergence ratio does not degrade
+    with omega, and adds omega^2 back.  It stops when successive Rayleigh
+    quotients differ by < eig_tol * |value|.  The quotient rho bounds
+    lambda_min above; factoring L - (rho - delta) I proves
+    lambda_min > rho - delta, else NoConvergence is raised.
     """
     m = op.n_unknowns
     rng = np.random.default_rng(EIG_SEED)
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
 
-    factor = (op.factorization(), False)
-    shift = 0.0
-    rho_prev = None
-    dr_prev = None
-    shift_attempts = (40, 400, 2000, 10000)
-    rho = None
+    shift = op.omega ** 2
+    factor = _shifted_factor(op, shift) if shift > 0.0 else None
+    if factor is None:
+        shift, factor = 0.0, op.factorization()
+    rho_prev = rho = None
     for it in range(max_iters):
-        y = cho_solve_banded(factor, v)
+        y = cho_solve_banded((factor, False), v)
         ny = float(np.linalg.norm(y))
         rho = float(y @ v) / (ny * ny) + shift
         v = y / ny
-        dr = abs(rho - rho_prev) if rho_prev is not None else np.inf
-        if it >= 3 and dr < eig_tol * abs(rho):
-            return rho
-        if shift == 0.0 and it in shift_attempts and dr_prev:
-            ratio = dr / dr_prev
-            if 0.0 < ratio < 0.9999:
-                remaining = dr * ratio / (1.0 - ratio)
-                lam_est = rho - remaining
-                gap = max(10.0 * remaining, 1e-9 * abs(rho), 1e-14)
-                for _ in range(8):
-                    cand = _shifted_factor(op, lam_est - gap)
-                    if cand is not None:
-                        factor = (cand, False)
-                        shift = lam_est - gap
-                        break
-                    gap *= 8.0
-        rho_prev, dr_prev = rho, dr
-    raise NoConvergence(
-        f"eigenvalue iteration hit {max_iters} iterations", last_value=rho
-    )
+        if it >= 3 and abs(rho - rho_prev) < eig_tol * abs(rho):
+            break
+        rho_prev = rho
+    else:
+        raise NoConvergence(
+            f"eigenvalue iteration hit {max_iters} iterations", last_value=rho
+        )
+    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.band[2]))
+    if _shifted_factor(op, rho - delta) is None:
+        raise NoConvergence(
+            f"eigenvalue certificate failed: L - ({rho - delta:.17g}) I "
+            "is not positive definite",
+            last_value=rho,
+        )
+    return rho
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def run_sweep_entry(
             lam = smallest_eigenvalue(op)
         except NoConvergence as exc:
             lam = exc.last_value if exc.last_value is not None else float("nan")
-            err = "lambda_min: iteration cap"
+            err = f"NoConvergence: {exc}"
         if point.method == "exact":
             k_val = inv_constant_exact(op, ctx, orth_elements=elements)
         elif point.method == "estimated":

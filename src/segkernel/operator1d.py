@@ -106,7 +106,7 @@ class DiscreteOperator:
         self.pot1 = pot1            # V2^2 + w^2 at interior nodes
         self.pot2 = pot2            # V1^2 + w^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
-        self.band = self._build_band()
+        self.band = self.shifted_band(0.0)
         self._factor = None
         self.smallest_pivot = None
 
@@ -114,12 +114,15 @@ class DiscreteOperator:
     def n_unknowns(self) -> int:
         return 2 * (self.grid.N - 2)
 
-    def _build_band(self) -> np.ndarray:
+    def shifted_band(self, sigma: float) -> np.ndarray:
+        """Upper band storage of L - sigma I.  sigma comes off the
+        potentials before 2/h^2 is added, so sigma = omega^2 gives the
+        omega = 0 band up to round-off in the potentials alone."""
         m = self.n_unknowns
         h2 = self.grid.h ** 2
         band = np.zeros((3, m))
-        band[2, 0::2] = 2.0 / h2 + self.pot1
-        band[2, 1::2] = 2.0 / h2 + self.pot2
+        band[2, 0::2] = 2.0 / h2 + (self.pot1 - sigma)
+        band[2, 1::2] = 2.0 / h2 + (self.pot2 - sigma)
         band[1, 1::2] = self.coup          # same-node coupling
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -374,18 +374,7 @@ def solve_profile(
         newton_tol=newton_tol,
         tail_tol=tail_tol,
     )
-    asym = extract_asymptotics(table, default_fit_window(T))
-    table = ProfileTable(
-        half_length=T,
-        nodes=xs,
-        v1=v1,
-        v2=v2,
-        dv1=dv1,
-        dv2=dv2,
-        asymptotics=asym,
-        newton_tol=newton_tol,
-        tail_tol=tail_tol,
-    )
+    table = replace(table, asymptotics=extract_asymptotics(table, default_fit_window(T)))
 
     res = discrete_residual(table)
     if res > newton_tol:
@@ -513,8 +502,14 @@ def save_profile(p: ProfileTable, path):
     cols = np.column_stack([p.nodes, p.v1, p.dv1, p.v2, p.dv2])
     for row in cols:
         lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"    # renamed over path: never read half-written
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_profile(path) -> ProfileTable:
@@ -524,6 +519,8 @@ def load_profile(path) -> ProfileTable:
         if header != CACHE_HEADER:
             raise ValueError(f"not a profile cache file: header {header!r}")
         meta = fh.readline().split()
+        if len(meta) != 6:
+            raise ValueError(f"cache file metadata line has {len(meta)} fields, not 6")
         T, n, tol = float(meta[0]), int(meta[1]), float(meta[2])
         a_hdr, b_hdr, c_hdr = float(meta[3]), float(meta[4]), float(meta[5])
         data = np.loadtxt(fh)
@@ -542,15 +539,8 @@ def load_profile(path) -> ProfileTable:
     asym = extract_asymptotics(table, default_fit_window(T))
     if abs(asym.A - a_hdr) > 1e-10 * max(1.0, abs(a_hdr)):
         raise ValueError("cache file inconsistent: refitted A disagrees with header")
-    return ProfileTable(
-        half_length=T,
-        nodes=table.nodes,
-        v1=table.v1,
-        v2=table.v2,
-        dv1=table.dv1,
-        dv2=table.dv2,
-        asymptotics=AsymptoticConstants(a_hdr, b_hdr, c_hdr, asym.fit_residual),
-        newton_tol=tol,
+    return replace(
+        table, asymptotics=AsymptoticConstants(a_hdr, b_hdr, c_hdr, asym.fit_residual)
     )
 
 
@@ -568,7 +558,9 @@ def get_profile(
 
     The file name rounds T and newton_tol, so a cached table is served
     only when its header matches the request exactly; otherwise the
-    table is solved fresh and the file is left alone.
+    table is solved fresh and the file is left alone.  A file that does
+    not load (truncated or corrupt) is a miss: the table is solved and
+    the file rewritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("SEGKERNEL_CACHE")
@@ -577,10 +569,14 @@ def get_profile(
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, T, N, newton_tol)
     if os.path.exists(path):
-        table = load_profile(path)
-        if (table.half_length, table.n_nodes, table.newton_tol) == (T, N, newton_tol):
-            return table
-        return solve_profile(T, N, newton_tol)
+        try:
+            table = load_profile(path)
+        except ValueError:          # truncated or corrupt: rewritten below
+            pass
+        else:
+            if (table.half_length, table.n_nodes, table.newton_tol) == (T, N, newton_tol):
+                return table
+            return solve_profile(T, N, newton_tol)
     table = solve_profile(T, N, newton_tol)
     save_profile(table, path)
     return table

@@ -174,11 +174,14 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--R", "0"), ("--R", "20,nan"), ("--omegaR", "0"), ("--omegaR", "inf"),
+        ("--omega", "nan"), ("--omega", "inf"), ("--omega", "-1"),
+        ("--theta", "nan"), ("--theta", "inf"), ("--theta", "0"),
     ])
     def test_nonpositive_lengths_rejected(self, cache_dir, tmp_path, capsys,
                                           flag, value):
+        # the later flag wins, so each case overrides one valid value
         code = main(["sweep", *common_args(cache_dir), "--omega", "0.2",
-                     flag, value, "--out", str(tmp_path / "x.csv")])
+                     "--R", "10", flag, value, "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
 from segkernel.invertibility import (
     SweepPoint,
     _InteriorProjector,
     _interior_weights,
+    _shifted_factor,
     _stream_columns,
     inv_constant_estimate,
     inv_constant_exact,
@@ -14,7 +17,7 @@ from segkernel.invertibility import (
     smallest_eigenvalue,
 )
 from segkernel.norms import NormContext, Projector, kernel_basis
-from segkernel.operator1d import Grid, assemble
+from segkernel.operator1d import DiscreteOperator, Grid, assemble
 from oracles import dense_matrix
 
 
@@ -124,17 +127,62 @@ class TestEstimate:
 
 
 class TestEigenvalue:
-    def test_matches_dense(self, small_case):
-        _, op, dense = small_case
+    def test_matches_dense(self, table):
+        for n in (201, 200):
+            for omega in (0.0, 0.3):
+                grid = Grid(10.0, n)
+                lam_dense = np.linalg.eigvalsh(dense_matrix(table, omega, grid))[0]
+                lam = smallest_eigenvalue(assemble(table, omega, grid))
+                assert abs(lam - lam_dense) / abs(lam_dense) <= 1e-8, (n, omega)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        n=st.integers(41, 241),
+        r_val=st.floats(5.0, 15.0),
+        omega=st.floats(0.0, 0.5),
+    )
+    def test_matches_dense_property(self, table, n, r_val, omega):
+        grid = Grid(r_val, n)
+        lam_dense = np.linalg.eigvalsh(dense_matrix(table, omega, grid))[0]
+        lam = smallest_eigenvalue(assemble(table, omega, grid))
+        assert abs(lam - lam_dense) / abs(lam_dense) <= 1e-8
+
+    def test_identity_shift(self, table):
+        # the fine R = 10 grid (2/h^2 = 8e4) fails if omega^2 is taken off
+        # the assembled diagonal instead of off the potentials
+        for r_val, n in ((10.0, 4001), (40.0, 3201), (800.0, 64001)):
+            grid = Grid(r_val, n)
+            lam0 = smallest_eigenvalue(assemble(table, 0.0, grid))
+            lam = smallest_eigenvalue(assemble(table, 0.3, grid))
+            assert abs((lam - lam0) - 0.09) <= 1e-12, r_val
+
+    def test_fallback_when_shifted_factor_fails(self, table):
+        # potentials pot(0) + omega^2 - 1.5 lambda(0): L - omega^2 I is
+        # indefinite, so the iteration falls back to the cached factor
+        grid = Grid(10.0, 201)
+        omega = 0.3
+        op0 = assemble(table, 0.0, grid)
+        lam0 = smallest_eigenvalue(op0)
+        c = omega * omega - 1.5 * lam0
+        op = DiscreteOperator(grid, omega, op0.pot1 + c, op0.pot2 + c, op0.coup)
+        assert _shifted_factor(op, omega * omega) is None
+        dense = dense_matrix(table, 0.0, grid) + c * np.eye(op.n_unknowns)
         lam_dense = np.linalg.eigvalsh(dense)[0]
         lam = smallest_eigenvalue(op)
         assert abs(lam - lam_dense) / abs(lam_dense) <= 1e-8
 
-    def test_identity_shift(self, table):
-        grid = Grid(40.0, 3201)
-        lam0 = smallest_eigenvalue(assemble(table, 0.0, grid))
-        lam = smallest_eigenvalue(assemble(table, 0.3, grid))
-        assert abs((lam - lam0) - 0.09) <= 1e-12
+    def test_failed_certificate_raises_with_value(self, table, monkeypatch):
+        point = SweepPoint(theta=0.5, omega=0.0, R=10.0, N=201)
+        op = assemble(table, point.omega, Grid(point.R, point.N))
+        lam = smallest_eigenvalue(op)
+        # at omega = 0 the helper is called only for the certificate
+        monkeypatch.setattr(invertibility, "_shifted_factor", lambda op, sigma: None)
+        with pytest.raises(NoConvergence, match="certificate") as info:
+            smallest_eigenvalue(op)
+        assert info.value.last_value == lam
+        rec = run_sweep_entry(table, point)
+        assert "certificate" in rec.error and "iterations" not in rec.error
+        assert rec.lambda_min == lam
 
     def test_spectral_inclusion(self, table):
         for om, r_val in ((0.1, 40.0), (0.3, 60.0)):
@@ -144,7 +192,7 @@ class TestEigenvalue:
 
     def test_iteration_cap_raises_with_value(self, table):
         op = assemble(table, 0.05, Grid(60.0, 1601))
-        with pytest.raises(NoConvergence) as info:
+        with pytest.raises(NoConvergence, match="5 iterations") as info:
             smallest_eigenvalue(op, eig_tol=1e-30, max_iters=5)
         assert info.value.last_value is not None
 

@@ -222,6 +222,21 @@ class TestCache:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
+    def test_truncated_cache_is_rewritten(self, tmp_path):
+        first = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        full = path.read_bytes()
+        # mid-table and mid-metadata-line cuts
+        for cut in (len(full) // 2, 30):
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError):
+                load_profile(path)
+            again = get_profile(T=12.0, N=1201, newton_tol=1e-9,
+                                cache_dir=str(tmp_path))
+            assert np.array_equal(again.v1, first.v1)
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == full
+
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGKERNEL_CACHE", str(tmp_path))
         get_profile(T=12.0, N=1201, newton_tol=1e-9)
