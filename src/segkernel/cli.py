@@ -46,10 +46,13 @@ def _float_list(text) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
-def _positive_list(text, flag) -> list[float]:
+def _checked_list(text, flag, zero_ok=False) -> list[float]:
+    """Comma list (or a single number) of finite values, each positive,
+    or nonnegative when zero_ok; otherwise a ValueError names the flag."""
     values = _float_list(text)
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValueError(f"{flag} values must be finite and positive")
+    if not all(math.isfinite(v) and (v > 0 or zero_ok and v == 0) for v in values):
+        kind = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{flag} values must be finite and {kind}")
     return values
 
 
@@ -100,6 +103,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _checked_list(args.theta, "--theta")
+    _checked_list(args.omega, "--omega", zero_ok=True)
+    _checked_list(args.R, "--R")
     table = _resolve_profile(args)
     n_list = [int(v) for v in _float_list(args.N)]
     cfg = {
@@ -121,8 +127,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _checked_list(args.theta, "--theta")
+    r_list = _checked_list(args.R, "--R")
     table = _resolve_profile(args)
-    r_list = _float_list(args.R)
     cfg = {
         "command": "counterexample", "theta": args.theta,
         "R": ",".join(_fmt(r) for r in r_list), "seed": args.seed,
@@ -157,18 +164,15 @@ def cmd_counterexample(args) -> int:
 
 
 def _sweep_plan(args) -> list[SweepPoint]:
-    omegas = _float_list(args.omega)
-    if not all(math.isfinite(om) and om >= 0 for om in omegas):
-        raise ValueError("--omega values must be finite and nonnegative")
-    if not (math.isfinite(args.theta) and args.theta > 0):
-        raise ValueError("--theta must be finite and positive")
+    omegas = _checked_list(args.omega, "--omega", zero_ok=True)
+    _checked_list(args.theta, "--theta")
     if args.omegaR:
         if any(om <= 0 for om in omegas):
             raise ValueError("--omegaR requires strictly positive omega values")
         pairs = [(om, o_r / om) for om in omegas
-                 for o_r in _positive_list(args.omegaR, "--omegaR")]
+                 for o_r in _checked_list(args.omegaR, "--omegaR")]
     elif args.R:
-        pairs = [(om, r_val) for om in omegas for r_val in _positive_list(args.R, "--R")]
+        pairs = [(om, r_val) for om in omegas for r_val in _checked_list(args.R, "--R")]
     else:
         raise ValueError("need --omegaR or --R")
     return [
@@ -212,14 +216,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eig(args) -> int:
+    omegas = _checked_list(args.omega, "--omega", zero_ok=True)
+    r_list = _checked_list(args.R, "--R")
     table = _resolve_profile(args)
     cfg = {
         "command": "eig", "omega": args.omega, "R": args.R, "seed": args.seed,
     }
     rows = []
     code = EXIT_OK
-    for om in _float_list(args.omega):
-        for r_val in _float_list(args.R):
+    for om in omegas:
+        for r_val in r_list:
             n = args.N or default_node_count(r_val)
             try:
                 lam = smallest_eigenvalue(assemble(table, om, Grid(r_val, n)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionInsufficient
-from .norms import NormContext, log_cosh
+from .norms import NormContext, unweighted_sup_norm, weighted_sup
 from .operator1d import Grid, PairGridFunction, assemble
 from .profile import ProfileTable, eval_profile
 
@@ -165,11 +165,9 @@ def _windowed_weighted_residual(p, spec, n_nodes, ctx):
     # open half-intervals, while the stencil at the center node would
     # measure the point mass of the jump (~A/h after dividing by w).
     mask = (np.abs(grid.nodes) <= window) & (np.abs(grid.nodes) > 0.5 * grid.h)
-    lw = log_cosh(ctx.theta * grid.nodes[mask])
-    with np.errstate(divide="ignore"):
-        m1 = np.log(np.abs(rho.comp1[mask])) + lw
-        m2 = np.log(np.abs(rho.comp2[mask])) + lw
-    weighted = float(np.exp(max(np.max(m1), np.max(m2))))
+    weighted = weighted_sup(
+        grid.nodes[mask], rho.comp1[mask], rho.comp2[mask], ctx.theta
+    )
     return weighted, phi, window
 
 
@@ -205,9 +203,7 @@ def counterexample_residual(
         N=spec.N,
         r=r,
         phi_at_0=(float(phi.comp1[j0]), float(phi.comp2[j0])),
-        norm_phi=float(
-            max(np.max(np.abs(phi.comp1)), np.max(np.abs(phi.comp2)))
-        ),
+        norm_phi=unweighted_sup_norm(phi),
         r_refined=r_fine,
         resolution_ok=bool(ok),
         window=window,

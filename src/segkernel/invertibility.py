@@ -9,7 +9,8 @@ unknowns, diag(s) L diag(s) has off-diagonals -1/h^2 and -2 V1 V2 <= 0
 and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve.  Under orthogonality
-constraints K is summed from unit-vector column solves, halved by the
+constraints, imposed by norms.Projector on the interleaved unknowns, K
+is summed from blocks of unit-vector column solves, halved by the
 reflection symmetry, with no column dropped.  A Hager-style one-norm
 power scheme provides a certified lower estimate.  The smallest
 eigenvalue comes from inverse iteration on L - omega^2 I = L(0), with a
@@ -27,10 +28,11 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError
 from .norms import NormContext, Projector, cosh_weights, kernel_basis
-from .operator1d import DiscreteOperator, Grid, assemble, interleave
+from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
 
 EXACT_SIZE_GUARD = 200_000
+COLUMN_BLOCK = 2 ** 22      # doubles per block of constrained-K column solves
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 EIG_SEED = 987654321
@@ -38,71 +40,7 @@ EIG_SEED = 987654321
 
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
     """1/cosh(theta x) per interior unknown, interleaved pairwise."""
-    w = cosh_weights(op.grid.interior, ctx.theta)
-    out = np.empty(op.n_unknowns)
-    out[0::2] = w
-    out[1::2] = w
-    return out
-
-
-class _InteriorProjector:
-    """Projection onto the complement of kernel elements, acting on
-    interleaved interior vectors (quadrature weight h per node)."""
-
-    def __init__(self, projector: Projector):
-        grid = projector.grid
-        h = grid.h
-        k = len(projector.elements)
-        m = 2 * (grid.N - 2)
-        self.carriers = np.empty((m, k), order="F")
-        self.zrows = np.empty((k, m))
-        for i in range(k):
-            self.carriers[:, i] = interleave(projector.carriers[i])
-            self.zrows[i] = h * interleave(projector.elements[i])
-        gram = self.zrows @ self.carriers
-        self.gram_inv = np.linalg.inv(gram)
-
-    def apply(self, vec):
-        """vec may be (m,) or (m, b); returns the projected copy."""
-        coef = self.gram_inv @ (self.zrows @ vec)
-        return vec - self.carriers @ coef
-
-    def apply_transpose(self, vec):
-        coef = self.gram_inv.T @ (self.carriers.T @ vec)
-        return vec - self.zrows.T @ coef
-
-
-def _stream_columns(solve_block, js_all, m, weights, reflect, jobs=2, block=None):
-    """S_i = sum over solved columns j of |M_ij| * weights_j, streamed.
-
-    When reflect is set, each solved column j also contributes the
-    weighted modulus of its mirror column m-1-j: reversing the
-    interleaved vector reverses the nodes and swaps the components, and
-    operator and weights commute with it.
-    """
-    if block is None:
-        block = int(np.clip(2.0e7 // max(m, 1), 16, 1024))
-    chunks = [js_all[i: i + block] for i in range(0, js_all.size, block)]
-
-    def work(js):
-        cols = solve_block(js)
-        np.abs(cols, out=cols)
-        part = cols @ weights[js]
-        if reflect:
-            part += cols[::-1] @ weights[m - 1 - js]
-        return part
-
-    if jobs <= 1 or len(chunks) <= 1:
-        parts = [work(js) for js in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, chunks))
-    s = np.zeros(m)
-    for part in parts:
-        s += part
-    return s
+    return np.repeat(cosh_weights(op.grid.interior, ctx.theta), 2)
 
 
 def inv_constant_exact(
@@ -116,9 +54,10 @@ def inv_constant_exact(
 
     Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
-    row sums are s * solve(s * w).  Constrained K streams unit-vector
-    column solves; the reflection symmetry of operator, weights and
-    projector lets each solved column stand in for its mirror.
+    row sums are s * solve(s * w).  Constrained K sums unit-vector
+    column solves, in blocks of about COLUMN_BLOCK doubles on two
+    threads; the reflection symmetry of operator, weights and projector
+    lets each solved column stand in for its mirror.
     """
     m = op.n_unknowns
     if m > size_guard:
@@ -132,21 +71,28 @@ def inv_constant_exact(
         s[1::2] = -1.0
         return float(np.max(s * op.solve_interior(s * weights)))
 
-    proj = _InteriorProjector(Projector(orth_elements, op.grid, ctx))
+    proj = Projector(orth_elements, op.grid, ctx)
     y_carr = op.solve_interior(proj.carriers)      # m x k
     gzi = proj.gram_inv @ proj.zrows               # k x m
 
-    def solve_block(js):
-        b = np.zeros((m, js.size), order="F")
-        b[js, np.arange(js.size)] = 1.0
-        z = op.solve_interior(b)
-        z -= y_carr @ gzi[:, js]
-        return z
+    def row_sums(js):
+        # weighted row sums of |M| over the columns js and their mirrors:
+        # column m-1-j of M is column j reversed, so the first half of the
+        # columns covers all of them, for odd and even node counts alike
+        cols = np.zeros((m, js.size), order="F")
+        cols[js, np.arange(js.size)] = 1.0
+        cols = op.solve_interior(cols)
+        cols -= y_carr @ gzi[:, js]
+        np.abs(cols, out=cols)
+        return cols @ weights[js] + (cols @ weights[m - 1 - js])[::-1]
 
-    # column m-1-j of M is column j reversed, so the first half of the
-    # columns covers all of them, for odd and even node counts alike
-    s = _stream_columns(solve_block, np.arange(m // 2), m, weights, reflect=True)
-    return float(np.max(s))
+    from concurrent.futures import ThreadPoolExecutor
+
+    half = np.arange(m // 2)
+    block = max(16, COLUMN_BLOCK // m)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        parts = pool.map(row_sums, [half[i: i + block] for i in range(0, half.size, block)])
+        return float(np.max(sum(parts)))
 
 
 def inv_constant_estimate(
@@ -167,7 +113,7 @@ def inv_constant_estimate(
     weights = _interior_weights(op, ctx)
     op.factorization()
     if orth_elements:
-        proj = _InteriorProjector(Projector(orth_elements, op.grid, ctx))
+        proj = Projector(orth_elements, op.grid, ctx)
     else:
         proj = None
 

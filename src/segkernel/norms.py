@@ -3,7 +3,8 @@
 The weighted norm of a right-hand side is sup |g(x)| cosh(theta x),
 taken over both components (the pair norm is the max of the component
 norms).  Weights are handled through log-cosh so that large theta*R
-neither overflows nor turns exact zeros into NaNs.
+neither overflows nor turns exact zeros into NaNs.  The orthogonality
+projector acts on the solver's interleaved interior unknowns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GramSingular
-from .operator1d import Grid, PairGridFunction
+from .operator1d import Grid, PairGridFunction, deinterleave, interleave
 from .profile import ProfileTable, eval_profile
 
 _LOG2 = np.log(2.0)
@@ -40,14 +41,19 @@ def cosh_weights(x, theta):
     return np.exp(-log_cosh(theta * x))
 
 
+def weighted_sup(x, comp1, comp2, theta: float) -> float:
+    """max over the sampled nodes x of |comp1|, |comp2| times cosh(theta x),
+    taken in logs so an exact zero times a huge weight stays zero."""
+    lw = log_cosh(theta * x)
+    with np.errstate(divide="ignore"):
+        m1 = np.log(np.abs(comp1)) + lw
+        m2 = np.log(np.abs(comp2)) + lw
+    return float(np.exp(max(np.max(m1), np.max(m2))))
+
+
 def weighted_sup_norm(u: PairGridFunction, ctx: NormContext) -> float:
     """max over nodes and components of |u| * cosh(theta x)."""
-    lw = log_cosh(ctx.theta * u.grid.nodes)
-    with np.errstate(divide="ignore"):
-        m1 = np.log(np.abs(u.comp1)) + lw
-        m2 = np.log(np.abs(u.comp2)) + lw
-    top = max(np.max(m1), np.max(m2))
-    return float(np.exp(top))
+    return weighted_sup(u.grid.nodes, u.comp1, u.comp2, ctx.theta)
 
 
 def unweighted_sup_norm(u: PairGridFunction) -> float:
@@ -78,45 +84,43 @@ def pair_inner(u: PairGridFunction, v: PairGridFunction, grid: Grid) -> float:
 
 
 class Projector:
-    """Removes kernel-element content from right-hand sides.
+    """Removes kernel-element content from interleaved interior vectors.
 
     Subtracts multiples of the carriers z_i / cosh(2 theta x) (the bare
     elements are unbounded, so a theta-decaying carrier keeps the
     projected g inside the weighted class) with coefficients chosen so
-    the trapezoid pairings with the z_i vanish.
+    the pairings h * sum_interior z_i . g vanish.  One Gram matrix,
+    zrows @ carriers, serves every caller.
     """
 
     def __init__(self, elements, grid: Grid, ctx: NormContext):
         self.grid = grid
-        self.elements = list(elements)
-        k = len(self.elements)
-        if k == 0:
+        if not elements:
             raise ValueError("need at least one kernel element")
-        w = cosh_weights(grid.nodes, 2.0 * ctx.theta)
-        self.carriers = [
-            PairGridFunction(grid, z.comp1 * w, z.comp2 * w) for z in self.elements
-        ]
-        gram = np.empty((k, k))
-        for i, z in enumerate(self.elements):
-            for j, c in enumerate(self.carriers):
-                gram[i, j] = pair_inner(z, c, grid)
+        zs = np.column_stack([interleave(z) for z in elements])        # m x k
+        w = np.repeat(cosh_weights(grid.interior, 2.0 * ctx.theta), 2)
+        self.carriers = zs * w[:, None]
+        self.zrows = grid.h * zs.T
+        gram = self.zrows @ self.carriers
         if np.linalg.cond(gram) > 1e12:
             raise GramSingular(
                 f"carrier Gram condition {np.linalg.cond(gram):.3e}; grid too coarse"
             )
-        self.gram = gram
+        self.gram_inv = np.linalg.inv(gram)
 
-    def coefficients(self, g: PairGridFunction) -> np.ndarray:
-        rhs = np.array([pair_inner(z, g, self.grid) for z in self.elements])
-        return np.linalg.solve(self.gram, rhs)
+    def apply(self, vec):
+        """vec may be (m,) or (m, b); returns the projected copy."""
+        coef = self.gram_inv @ (self.zrows @ vec)
+        return vec - self.carriers @ coef
+
+    def apply_transpose(self, vec):
+        coef = self.gram_inv.T @ (self.carriers.T @ vec)
+        return vec - self.zrows.T @ coef
 
     def __call__(self, g: PairGridFunction) -> PairGridFunction:
-        c = self.coefficients(g)
-        out = g.copy()
-        for ci, w in zip(c, self.carriers):
-            out.comp1 -= ci * w.comp1
-            out.comp2 -= ci * w.comp2
-        return out
+        """Projected copy of g with zero Dirichlet endpoints, so its
+        trapezoid pairings with the z_i equal the interior ones."""
+        return deinterleave(self.grid, self.apply(interleave(g)))
 
 
 def project_orthogonal(
@@ -125,6 +129,6 @@ def project_orthogonal(
     grid: Grid,
     ctx: NormContext,
 ) -> PairGridFunction:
-    """Return g minus carrier multiples so that the trapezoid integrals
-    of (z_i . g) vanish for every chosen kernel element z_i."""
+    """Return g minus carrier multiples, with zero endpoints, so that the
+    trapezoid integrals of (z_i . g) vanish for every chosen z_i."""
     return Projector(elements, grid, ctx)(g)

@@ -187,6 +187,29 @@ class TestConfigAndErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["eig", "--omega", "nan", "--R", "10"], "--omega"),
+        (["eig", "--omega", "0.1", "--R", "nan"], "--R"),
+        (["eig", "--omega", "0.1", "--R", "10,-5"], "--R"),
+        (["solve", "--omega", "nan"], "--omega"),
+        (["solve", "--R", "inf"], "--R"),
+        (["solve", "--theta", "0"], "--theta"),
+        (["counterexample", "--R", "nan"], "--R"),
+        (["counterexample", "--R", "50", "--theta", "nan"], "--theta"),
+    ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
+            "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
+            "counterexample-theta-nan"])
+    def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        out = tmp_path / "x.csv"
+        code = main([*argv, *common_args(str(cache)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+        assert not out.exists()
+        assert list(cache.iterdir()) == []      # no profile was solved
+
     def test_trailing_config_flag(self, capsys):
         assert main(["sweep", "--config"]) == 1
         err = capsys.readouterr().err

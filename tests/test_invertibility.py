@@ -6,10 +6,8 @@ from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
 from segkernel.invertibility import (
     SweepPoint,
-    _InteriorProjector,
     _interior_weights,
     _shifted_factor,
-    _stream_columns,
     inv_constant_estimate,
     inv_constant_exact,
     run_sweep,
@@ -34,26 +32,24 @@ def small_case(table):
     return grid, op, dense
 
 
+def dense_k(table, op, ctx, elements=None):
+    """Max weighted absolute row sum of the dense L^-1 P diag(w)."""
+    p_mat = np.eye(op.n_unknowns)
+    if elements:
+        proj = Projector(elements, op.grid, ctx)
+        p_mat -= proj.carriers @ (proj.gram_inv @ proj.zrows)
+    dense = dense_matrix(table, op.omega, op.grid)
+    mat = np.linalg.inv(dense) @ p_mat @ np.diag(_interior_weights(op, ctx))
+    return float(np.max(np.sum(np.abs(mat), axis=1)))
+
+
 class TestExactNorm:
-    def test_diagonal_analogue(self):
-        d = np.array([4.0, 0.5])
-        w = np.array([0.8, 0.25])
-
-        def solve_block(js):
-            cols = np.zeros((2, js.size))
-            cols[js, np.arange(js.size)] = 1.0 / d[js]
-            return cols
-
-        s = _stream_columns(solve_block, np.arange(2), 2, w, None, jobs=1)
-        assert np.max(s) == max(w[0] / d[0], w[1] / d[1])
-
     @pytest.mark.parametrize("r_val, n, omega", DENSE_CASES, ids=DENSE_IDS)
     def test_matches_dense_inverse(self, table, r_val, n, omega):
         grid = Grid(r_val, n)
         op = assemble(table, omega, grid)
         ctx = NormContext(0.5)
-        w = _interior_weights(op, ctx)
-        k_dense = float(np.max(np.abs(np.linalg.inv(dense_matrix(table, omega, grid))) @ w))
+        k_dense = dense_k(table, op, ctx)
         k = inv_constant_exact(op, ctx)
         assert abs(k - k_dense) / k_dense <= 1e-10
 
@@ -63,14 +59,51 @@ class TestExactNorm:
         op = assemble(table, omega, grid)
         ctx = NormContext(0.5)
         kb = kernel_basis(table, grid)
-        proj = _InteriorProjector(Projector([kb.z1], grid, ctx))
-        w = _interior_weights(op, ctx)
-        m = op.n_unknowns
-        p_mat = np.eye(m) - proj.carriers @ (proj.gram_inv @ proj.zrows)
-        mat = np.linalg.inv(dense_matrix(table, omega, grid)) @ p_mat @ np.diag(w)
-        k_dense = float(np.max(np.sum(np.abs(mat), axis=1)))
+        k_dense = dense_k(table, op, ctx, [kb.z1])
         k = inv_constant_exact(op, ctx, orth_elements=[kb.z1])
         assert abs(k - k_dense) / k_dense <= 1e-10
+
+    @pytest.mark.parametrize("n", [201, 200])
+    def test_constrained_multi_block(self, table, monkeypatch, n):
+        # 2**14 doubles per block gives 41 columns at m = 398 or 396, so
+        # the 199 or 198 half-columns run as four full blocks and a ragged one
+        grid = Grid(10.0, n)
+        op = assemble(table, 0.5, grid)
+        ctx = NormContext(0.5)
+        kb = kernel_basis(table, grid)
+        monkeypatch.setattr(invertibility, "COLUMN_BLOCK", 2 ** 14)
+        sizes = []
+        solve = op.solve_interior
+
+        def counting_solve(rhs):
+            sizes.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return solve(rhs)
+
+        monkeypatch.setattr(op, "solve_interior", counting_solve)
+        k = inv_constant_exact(op, ctx, orth_elements=[kb.z1])
+        half = op.n_unknowns // 2
+        assert sorted(sizes) == sorted([1] + [41] * 4 + [half - 4 * 41])
+        k_dense = dense_k(table, op, ctx, [kb.z1])
+        assert abs(k - k_dense) / k_dense <= 1e-10
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        n=st.integers(41, 241),
+        r_val=st.floats(5.0, 15.0),
+        theta=st.floats(0.3, 0.8),
+        omega=st.floats(0.0, 0.5),
+        orth_mode=st.sampled_from(["none", "one"]),
+    )
+    def test_matches_dense_property(self, table, n, r_val, theta, omega, orth_mode):
+        grid = Grid(r_val, n)
+        op = assemble(table, omega, grid)
+        ctx = NormContext(theta)
+        elements = [kernel_basis(table, grid).z1] if orth_mode == "one" else None
+        k_dense = dense_k(table, op, ctx, elements)
+        k = inv_constant_exact(op, ctx, orth_elements=elements)
+        assert abs(k - k_dense) / k_dense <= 1e-10
+        est = inv_constant_estimate(op, ctx, orth_elements=elements)
+        assert est <= k * (1.0 + 1e-12)
 
     def test_constrained_below_unconstrained(self, table):
         grid = Grid(40.0, 1201)

@@ -111,6 +111,8 @@ class TestProjection:
         kb = kernel_basis(table, grid)
         g = random_localized(grid, 5)
         gp = project_orthogonal(g, [kb.z1], grid, ctx)
+        # zero endpoints: the trapezoid pairing is the interior one
+        assert gp.comp1[0] == gp.comp1[-1] == gp.comp2[0] == gp.comp2[-1] == 0.0
         integral = pair_inner(kb.z1, gp, grid)
         assert abs(integral) <= 1e-12 * weighted_sup_norm(g, ctx)
 
