@@ -56,6 +56,20 @@ def _checked_list(text, flag, zero_ok=False) -> list[float]:
     return values
 
 
+def _checked_nodes(text, odd_increasing=False) -> list[int]:
+    """--N as a comma list (or a single number; None when not given) of
+    integers >= 5, odd and strictly increasing when odd_increasing;
+    otherwise a ValueError names the flag."""
+    values = [] if text is None else _float_list(text)
+    if not all(math.isfinite(v) and v == int(v) and v >= 5 for v in values):
+        raise ValueError("--N values must be integers >= 5")
+    nodes = [int(v) for v in values]
+    if odd_increasing and (any(n % 2 == 0 for n in nodes)
+                           or any(b <= a for a, b in zip(nodes, nodes[1:]))):
+        raise ValueError("--N values must be odd and strictly increasing")
+    return nodes
+
+
 def _config_lines(cfg: dict) -> list[str]:
     lines = [CSV_HEADER]
     for key in sorted(cfg):
@@ -106,8 +120,8 @@ def cmd_solve(args) -> int:
     _checked_list(args.theta, "--theta")
     _checked_list(args.omega, "--omega", zero_ok=True)
     _checked_list(args.R, "--R")
+    n_list = _checked_nodes(args.N, odd_increasing=True)
     table = _resolve_profile(args)
-    n_list = [int(v) for v in _float_list(args.N)]
     cfg = {
         "command": "solve", "theta": args.theta, "omega": args.omega,
         "R": args.R, "N": ",".join(str(n) for n in n_list), "seed": args.seed,
@@ -129,6 +143,7 @@ def cmd_solve(args) -> int:
 def cmd_counterexample(args) -> int:
     _checked_list(args.theta, "--theta")
     r_list = _checked_list(args.R, "--R")
+    _checked_nodes(args.N, odd_increasing=True)
     table = _resolve_profile(args)
     cfg = {
         "command": "counterexample", "theta": args.theta,
@@ -166,6 +181,7 @@ def cmd_counterexample(args) -> int:
 def _sweep_plan(args) -> list[SweepPoint]:
     omegas = _checked_list(args.omega, "--omega", zero_ok=True)
     _checked_list(args.theta, "--theta")
+    _checked_nodes(args.N)
     if args.omegaR:
         if any(om <= 0 for om in omegas):
             raise ValueError("--omegaR requires strictly positive omega values")
@@ -218,6 +234,7 @@ def cmd_sweep(args) -> int:
 def cmd_eig(args) -> int:
     omegas = _checked_list(args.omega, "--omega", zero_ok=True)
     r_list = _checked_list(args.R, "--R")
+    _checked_nodes(args.N)
     table = _resolve_profile(args)
     cfg = {
         "command": "eig", "omega": args.omega, "R": args.R, "seed": args.seed,

@@ -10,11 +10,12 @@ and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve.  Under orthogonality
 constraints, imposed by norms.Projector on the interleaved unknowns, K
-is summed from blocks of unit-vector column solves, halved by the
-reflection symmetry, with no column dropped.  A Hager-style one-norm
-power scheme provides a certified lower estimate.  The smallest
-eigenvalue comes from inverse iteration on L - omega^2 I = L(0), with a
-Cholesky-inertia check as its lower bound.
+is summed over the upper triangle of L^-1, built tile by tile from the
+cached Cholesky factor by the Takahashi selected-inversion recurrence;
+the reflection symmetry supplies the lower triangle.  A Hager-style
+one-norm power scheme provides a certified lower estimate.  The
+smallest eigenvalue comes from inverse iteration on
+L - omega^2 I = L(0), with a Cholesky-inertia check as its lower bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg import cholesky_banded, cho_solve_banded, solve_banded
 
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError
@@ -32,7 +33,7 @@ from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
 
 EXACT_SIZE_GUARD = 200_000
-COLUMN_BLOCK = 2 ** 22      # doubles per block of constrained-K column solves
+COLUMN_BLOCK = 2 ** 22      # doubles per tile of the constrained-K sweep
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 EIG_SEED = 987654321
@@ -54,10 +55,20 @@ def inv_constant_exact(
 
     Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
-    row sums are s * solve(s * w).  Constrained K sums unit-vector
-    column solves, in blocks of about COLUMN_BLOCK doubles on two
-    threads; the reflection symmetry of operator, weights and projector
-    lets each solved column stand in for its mirror.
+    row sums are s * solve(s * w).
+
+    Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
+    T = L^-1, y = solve(carriers) and g^T = gram_inv @ zrows; no unit
+    column is solved.  With L = U^T U the cached factor (diagonal d,
+    superdiagonals a and b), U T = U^-T gives, for j >= i,
+    T_ij = (delta_ij / d_i - a_i T_i+1,j - b_i T_i+2,j) / d_i
+    (Takahashi, Fagan & Chin 1973).  Tiles of about COLUMN_BLOCK doubles
+    sweep the rows from the bottom up: the columns past a tile are one
+    product with a propagator from the two rows below it (the anchor),
+    the triangle inside it is the recurrence.  Only the sums over j >= i
+    are formed: operator, weights and projector commute with the
+    reflection, so M[m-1-i, m-1-j] = M[i, j] and the sums over j <= i
+    are those of the mirror row.
     """
     m = op.n_unknowns
     if m > size_guard:
@@ -72,27 +83,45 @@ def inv_constant_exact(
         return float(np.max(s * op.solve_interior(s * weights)))
 
     proj = Projector(orth_elements, op.grid, ctx)
-    y_carr = op.solve_interior(proj.carriers)      # m x k
-    gzi = proj.gram_inv @ proj.zrows               # k x m
-
-    def row_sums(js):
-        # weighted row sums of |M| over the columns js and their mirrors:
-        # column m-1-j of M is column j reversed, so the first half of the
-        # columns covers all of them, for odd and even node counts alike
-        cols = np.zeros((m, js.size), order="F")
-        cols[js, np.arange(js.size)] = 1.0
-        cols = op.solve_interior(cols)
-        cols -= y_carr @ gzi[:, js]
-        np.abs(cols, out=cols)
-        return cols @ weights[js] + (cols @ weights[m - 1 - js])[::-1]
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    half = np.arange(m // 2)
-    block = max(16, COLUMN_BLOCK // m)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        parts = pool.map(row_sums, [half[i: i + block] for i in range(0, half.size, block)])
-        return float(np.max(sum(parts)))
+    f = np.zeros((3, m + 2))       # U of L = U^T U in upper band storage,
+    f[:, :m] = op.factorization()  # zero past the last row
+    y = op.solve_interior(proj.carriers)           # m x k
+    # rows 0-1: the anchor, rows i1 and i1+1 of T = L^-1 from column i1 on
+    # (entry i1 of row i1+1 is its mirror T[i1, i1+1]); then gram_inv @ zrows
+    stack = np.zeros((2 + y.shape[1], m + 2))
+    stack[2:, :m] = proj.gram_inv @ proj.zrows
+    rows = max(1, COLUMN_BLOCK // m)
+    buf = np.empty(rows * m)
+    upper = np.empty(m)            # sum over j >= i of |M_ij|
+    diag = np.empty(m)
+    for i1 in range(m, 0, -rows):
+        i0 = max(0, i1 - rows)
+        c = i1 - i0
+        # the columns j >= i1: T[i0:i1, j] = prop @ T[i1:i1+2, j], as (U T)_ij = 0
+        cpl = np.zeros((c, 2))
+        cpl[-2:] = -np.array([[f[0, i1], 0.0], [f[1, i1], f[0, i1 + 1]]])[-c:]
+        prop = solve_banded((0, 2), f[:, i0:i1], cpl)
+        far = buf[: c * (m - i1)].reshape(c, m - i1)
+        np.matmul(np.hstack((prop, -y[i0:i1])), stack[:, i1:m], out=far)
+        np.abs(far, out=far)
+        upper[i0:i1] = far @ weights[i1:]
+        # the triangle i <= j < i1 (and columns i1, i1+1) by the recurrence;
+        # entry [r+1, r] is set to its mirror once row r is known
+        win = np.zeros((c + 2, c + 2))
+        win[c:, c:] = stack[:2, i1: i1 + 2]
+        for r in range(c - 1, -1, -1):
+            d, a, b = f[2, i0 + r], f[1, i0 + r + 1], f[0, i0 + r + 2]
+            win[r, r + 1:] = -(a * win[r + 1, r + 1:] + b * win[r + 2, r + 1:]) / d
+            win[r, r] = (1.0 / d - a * win[r, r + 1] - b * win[r, r + 2]) / d
+            win[r + 1, r] = win[r, r + 1]
+        near = np.abs(np.triu(win[:c, :c] - y[i0:i1] @ stack[2:, i0:i1]))
+        upper[i0:i1] += near @ weights[i0:i1]
+        diag[i0:i1] = np.diagonal(near) * weights[i0:i1]
+        # the next anchor: rows i0 and i0+1 (for c = 1, i0+1 is the old i1)
+        stack[:2, i1 + 2: m] = np.vstack((prop, np.eye(2)))[:2] @ stack[:2, i1 + 2: m]
+        stack[:2, i0: i1 + 2] = win[:2]
+    # M[m-1-i, m-1-j] = M[i, j]: the lower row sums are the upper ones reversed
+    return float(np.max(upper + upper[::-1] - diag))
 
 
 def inv_constant_estimate(

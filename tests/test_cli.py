@@ -196,9 +196,20 @@ class TestConfigAndErrors:
         (["solve", "--theta", "0"], "--theta"),
         (["counterexample", "--R", "nan"], "--R"),
         (["counterexample", "--R", "50", "--theta", "nan"], "--theta"),
+        (["solve", "--N", "nan"], "--N"),
+        (["solve", "--N", "3,801"], "--N"),
+        (["solve", "--N", "400,801"], "--N"),
+        (["solve", "--N", "801,401"], "--N"),
+        (["solve", "--N", "401.5"], "--N"),
+        (["sweep", "--omega", "0.1", "--R", "10", "--N", "3"], "--N"),
+        (["eig", "--omega", "0.1", "--R", "10", "--N", "3"], "--N"),
+        (["counterexample", "--R", "50", "--N", "3"], "--N"),
+        (["counterexample", "--R", "50", "--N", "800"], "--N"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
-            "counterexample-theta-nan"])
+            "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
+            "solve-N-even", "solve-N-decreasing", "solve-N-fraction",
+            "sweep-N-3", "eig-N-3", "counterexample-N-3", "counterexample-N-even"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()

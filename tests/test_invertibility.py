@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,26 +67,28 @@ class TestExactNorm:
 
     @pytest.mark.parametrize("n", [201, 200])
     def test_constrained_multi_block(self, table, monkeypatch, n):
-        # 2**14 doubles per block gives 41 columns at m = 398 or 396, so
-        # the 199 or 198 half-columns run as four full blocks and a ragged one
+        # tiles of rows * m doubles: single rows; at m = 398 a ragged top
+        # tile of 14, 29, 2 and 1 rows; at m = 396 one of 12 and 27 rows,
+        # two full tiles of 198, or the one tile of 396
         grid = Grid(10.0, n)
         op = assemble(table, 0.5, grid)
         ctx = NormContext(0.5)
-        kb = kernel_basis(table, grid)
-        monkeypatch.setattr(invertibility, "COLUMN_BLOCK", 2 ** 14)
-        sizes = []
+        elements = [kernel_basis(table, grid).z1]
+        k_dense = dense_k(table, op, ctx, elements)
+        m = op.n_unknowns
         solve = op.solve_interior
+        for rows in (1, 16, 41, 198, 397):
+            shapes = []
 
-        def counting_solve(rhs):
-            sizes.append(1 if rhs.ndim == 1 else rhs.shape[1])
-            return solve(rhs)
+            def counting_solve(rhs):
+                shapes.append(rhs.shape)
+                return solve(rhs)
 
-        monkeypatch.setattr(op, "solve_interior", counting_solve)
-        k = inv_constant_exact(op, ctx, orth_elements=[kb.z1])
-        half = op.n_unknowns // 2
-        assert sorted(sizes) == sorted([1] + [41] * 4 + [half - 4 * 41])
-        k_dense = dense_k(table, op, ctx, [kb.z1])
-        assert abs(k - k_dense) / k_dense <= 1e-10
+            monkeypatch.setattr(op, "solve_interior", counting_solve)
+            monkeypatch.setattr(invertibility, "COLUMN_BLOCK", rows * m)
+            k = inv_constant_exact(op, ctx, orth_elements=elements)
+            assert shapes == [(m, 1)], rows        # the carrier, no unit columns
+            assert abs(k - k_dense) / k_dense <= 1e-10, rows
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
@@ -93,14 +97,17 @@ class TestExactNorm:
         theta=st.floats(0.3, 0.8),
         omega=st.floats(0.0, 0.5),
         orth_mode=st.sampled_from(["none", "one"]),
+        rows=st.integers(1, 64),
     )
-    def test_matches_dense_property(self, table, n, r_val, theta, omega, orth_mode):
+    def test_matches_dense_property(self, table, n, r_val, theta, omega, orth_mode,
+                                    rows):
         grid = Grid(r_val, n)
         op = assemble(table, omega, grid)
         ctx = NormContext(theta)
         elements = [kernel_basis(table, grid).z1] if orth_mode == "one" else None
         k_dense = dense_k(table, op, ctx, elements)
-        k = inv_constant_exact(op, ctx, orth_elements=elements)
+        with mock.patch.object(invertibility, "COLUMN_BLOCK", rows * op.n_unknowns):
+            k = inv_constant_exact(op, ctx, orth_elements=elements)
         assert abs(k - k_dense) / k_dense <= 1e-10
         est = inv_constant_estimate(op, ctx, orth_elements=elements)
         assert est <= k * (1.0 + 1e-12)
@@ -127,6 +134,39 @@ class TestExactNorm:
         op = assemble(table, 0.5, Grid(10.0, 201))
         with pytest.raises(BudgetExceeded):
             inv_constant_exact(op, NormContext(0.5), size_guard=100)
+
+
+class TestReflection:
+    # Reversing an interleaved vector reverses the nodes and swaps the
+    # components.  Constrained K adds each row's lower sum as the upper sum
+    # of the mirror row, which needs solve, projector and weights to commute
+    # with that reflection.
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(
+        half=st.integers(20, 120),
+        r_val=st.floats(5.0, 15.0),
+        theta=st.floats(0.3, 0.8),
+        omega=st.floats(0.0, 0.5),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_commutes_with_reflection(self, table, parity, half, r_val, theta,
+                                      omega, k, seed):
+        grid = Grid(r_val, 2 * half + parity)
+        op = assemble(table, omega, grid)
+        ctx = NormContext(theta)
+        kb = kernel_basis(table, grid)
+        proj = Projector([kb.z1, kb.z2][:k], grid, ctx)
+        g = np.random.default_rng(seed).standard_normal((op.n_unknowns, 2))
+
+        def rel_sup(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        assert rel_sup(op.solve_interior(g[::-1]), op.solve_interior(g)[::-1]) <= 1e-12
+        assert rel_sup(proj.apply(g[::-1]), proj.apply(g)[::-1]) <= 1e-12
+        w = _interior_weights(op, ctx)
+        assert rel_sup(w[::-1], w) <= 1e-12
 
 
 class TestEstimate:
