@@ -70,6 +70,15 @@ def _checked_nodes(text, odd_increasing=False) -> list[int]:
     return nodes
 
 
+def _checked_profile(args):
+    """--T finite >= 8, --N-profile odd >= 9, --newton-tol finite > 0, or ValueError."""
+    if _checked_list(args.T, "--T")[0] < 8:
+        raise ValueError("--T must be >= 8")
+    if args.N_profile < 9 or args.N_profile % 2 == 0:
+        raise ValueError("--N-profile must be an odd integer >= 9")
+    _checked_list(args.newton_tol, "--newton-tol")
+
+
 def _config_lines(cfg: dict) -> list[str]:
     lines = [CSV_HEADER]
     for key in sorted(cfg):
@@ -369,6 +378,7 @@ def main(argv=None) -> int:
         "eig": cmd_eig,
     }[args.command]
     try:
+        _checked_profile(args)      # before any profile is solved
         return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

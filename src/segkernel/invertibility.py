@@ -10,9 +10,11 @@ and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve.  Under orthogonality
 constraints, imposed by norms.Projector on the interleaved unknowns, K
-is summed over the upper triangle of L^-1, built tile by tile from the
-cached Cholesky factor by the Takahashi selected-inversion recurrence;
-the reflection symmetry supplies the lower triangle.  A Hager-style
+is summed over the upper triangle of L^-1, tile by tile from the cached
+Cholesky factor: the triangle inside a tile is a Schur form of its
+diagonal block (Takahashi selected inversion), and the columns past it
+are summed in chunks whose sign is certified by interval bounds; the
+reflection symmetry supplies the lower triangle.  A Hager-style
 one-norm power scheme provides a certified lower estimate.  The
 smallest eigenvalue comes from inverse iteration on
 L - omega^2 I = L(0), with a Cholesky-inertia check as its lower bound.
@@ -20,6 +22,7 @@ L - omega^2 I = L(0), with a Cholesky-inertia check as its lower bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -32,8 +35,9 @@ from .norms import NormContext, Projector, cosh_weights, kernel_basis
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
 
-EXACT_SIZE_GUARD = 200_000
-COLUMN_BLOCK = 2 ** 22      # doubles per tile of the constrained-K sweep
+EXACT_SIZE_GUARD = 256_000   # constrained K: N = 160 R + 1 up to R = 800
+TILE_ROWS = 128             # rows per tile of the constrained-K sweep
+CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 EIG_SEED = 987654321
@@ -59,22 +63,26 @@ def inv_constant_exact(
 
     Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
     T = L^-1, y = solve(carriers) and g^T = gram_inv @ zrows; no unit
-    column is solved.  With L = U^T U the cached factor (diagonal d,
-    superdiagonals a and b), U T = U^-T gives, for j >= i,
-    T_ij = (delta_ij / d_i - a_i T_i+1,j - b_i T_i+2,j) / d_i
-    (Takahashi, Fagan & Chin 1973).  Tiles of about COLUMN_BLOCK doubles
-    sweep the rows from the bottom up: the columns past a tile are one
-    product with a propagator from the two rows below it (the anchor),
-    the triangle inside it is the recurrence.  Only the sums over j >= i
-    are formed: operator, weights and projector commute with the
-    reflection, so M[m-1-i, m-1-j] = M[i, j] and the sums over j <= i
-    are those of the mirror row.
+    column is solved and T is never formed.  Tiles t of TILE_ROWS rows
+    sweep from the bottom up, the two rows a below a tile its anchor.
+    With L = U^T U the cached factor, (U T)_ij = 0 for j > i gives
+    T[t, j] = P T[a, j] past the tile, P = -U_tt^-1 U_ta, so (for M
+    unweighted) M[t, j] = coef @ [M[a, j]; g_j], coef = [P, P y_a - y_t].
+    Inside the tile the Schur form T_tt = U_tt^-1 U_tt^-T + P T_aa P^T
+    (Takahashi, Fagan & Chin 1973) reads
+    M_tt = U_tt^-1 U_tt^-T + P M[a, t] + (P y_a - y_t) g_t^T.  Past the
+    tile the columns go in chunks of about sqrt(m), one component (parity
+    of j) at a time: the min and max of each generator over a chunk
+    bound M[r, j], and where that bound keeps one sign the chunk adds
+    |coef_r . sum_j gen_j w_j|.  As diag(s) L diag(s) is a Stieltjes
+    matrix, a row of M changes sign only a few times per component, so
+    few chunks are summed entry by entry.  Only the sums over j >= i are
+    formed: operator, weights and projector commute with the reflection,
+    so M[m-1-i, m-1-j] = M[i, j] and the sums over j <= i are those of
+    the mirror row.  The size guard applies to this path only.
     """
     m = op.n_unknowns
-    if m > size_guard:
-        raise BudgetExceeded(f"{m} unknowns exceed the exact-method guard {size_guard}")
     weights = _interior_weights(op, ctx)
-
     if not orth_elements:
         if np.any(op.coup < 0):
             raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
@@ -82,44 +90,85 @@ def inv_constant_exact(
         s[1::2] = -1.0
         return float(np.max(s * op.solve_interior(s * weights)))
 
+    if m > size_guard:
+        raise BudgetExceeded(f"{m} unknowns exceed the exact-method guard {size_guard}")
     proj = Projector(orth_elements, op.grid, ctx)
+    k = len(proj.zrows)
     f = np.zeros((3, m + 2))       # U of L = U^T U in upper band storage,
     f[:, :m] = op.factorization()  # zero past the last row
-    y = op.solve_interior(proj.carriers)           # m x k
-    # rows 0-1: the anchor, rows i1 and i1+1 of T = L^-1 from column i1 on
-    # (entry i1 of row i1+1 is its mirror T[i1, i1+1]); then gram_inv @ zrows
-    stack = np.zeros((2 + y.shape[1], m + 2))
-    stack[2:, :m] = proj.gram_inv @ proj.zrows
-    rows = max(1, COLUMN_BLOCK // m)
-    buf = np.empty(rows * m)
-    upper = np.empty(m)            # sum over j >= i of |M_ij|
-    diag = np.empty(m)
-    for i1 in range(m, 0, -rows):
-        i0 = max(0, i1 - rows)
+    yp = np.vstack((op.solve_interior(proj.carriers), np.zeros((2, k))))
+    width = CHUNK_COLUMNS * max(1, math.isqrt(m // (64 * CHUNK_COLUMNS)))   # ~ sqrt(m)
+    n_chunks = -(-m // width)
+    # the generators, zero past m: the anchor M[i1:i1+2, j] for j >= i1, g^T
+    gen = np.zeros((2 + k, max(n_chunks * width, m + 2)))
+    gen[2:, :m] = proj.gram_inv @ proj.zrows
+    wpad = np.concatenate((weights, np.zeros(gen.shape[1] - m)))
+    # per chunk q and component (parity of j), in columns 2q and 2q+1: the
+    # box [min; -max] and the sums of gen * w (the anchor's: past the tile)
+    box = np.zeros((4 + 2 * k, 2 * n_chunks))
+    sums = np.zeros((2 + k, 2 * n_chunks))
+
+    def columns(q):
+        """Columns and weights of chunks q, a row per chunk and component;
+        past m the component's last column, with weight 0."""
+        cols = q[:, None, None] * width + np.arange(2)[:, None] + 2 * np.arange(width // 2)
+        last = np.minimum(cols, m - 2 + np.arange(2)[:, None])
+        return last.reshape(-1, width // 2), wpad[cols].reshape(-1, width // 2)
+
+    def chunk_stats(rows, q):
+        """Exact box and sums of gen[rows] over the chunks q."""
+        cols, w = columns(q)
+        v = gen[rows[:, None, None], cols]
+        r, idx = rows[:, None], (2 * q[:, None] + np.arange(2)).ravel()
+        box[r, idx], box[r + 2 + k, idx] = v.min(axis=2), -v.max(axis=2)
+        sums[r, idx] = np.einsum("rqj,qj->rq", v, w)
+
+    def bounds(a, s):
+        """[lo; -hi] of a @ gen over the chunks s, by interval arithmetic."""
+        a = np.hstack((a, -a))
+        return np.maximum(np.vstack((a, -a)), 0.0) @ box[:, s]
+
+    chunk_stats(np.arange(2, 2 + k), np.arange(n_chunks))
+    upper, diag = np.empty(m), np.empty(m)     # sums over j >= i of |M_ij|, |M_ii|
+    for i1 in range(m, 0, -TILE_ROWS):
+        i0 = max(0, i1 - TILE_ROWS)
         c = i1 - i0
-        # the columns j >= i1: T[i0:i1, j] = prop @ T[i1:i1+2, j], as (U T)_ij = 0
-        cpl = np.zeros((c, 2))
+        cpl = np.zeros((c, 2))     # -U_ta
         cpl[-2:] = -np.array([[f[0, i1], 0.0], [f[1, i1], f[0, i1 + 1]]])[-c:]
-        prop = solve_banded((0, 2), f[:, i0:i1], cpl)
-        far = buf[: c * (m - i1)].reshape(c, m - i1)
-        np.matmul(np.hstack((prop, -y[i0:i1])), stack[:, i1:m], out=far)
-        np.abs(far, out=far)
-        upper[i0:i1] = far @ weights[i1:]
-        # the triangle i <= j < i1 (and columns i1, i1+1) by the recurrence;
-        # entry [r+1, r] is set to its mirror once row r is known
-        win = np.zeros((c + 2, c + 2))
-        win[c:, c:] = stack[:2, i1: i1 + 2]
-        for r in range(c - 1, -1, -1):
-            d, a, b = f[2, i0 + r], f[1, i0 + r + 1], f[0, i0 + r + 2]
-            win[r, r + 1:] = -(a * win[r + 1, r + 1:] + b * win[r + 2, r + 1:]) / d
-            win[r, r] = (1.0 / d - a * win[r, r + 1] - b * win[r, r + 2]) / d
-            win[r + 1, r] = win[r, r + 1]
-        near = np.abs(np.triu(win[:c, :c] - y[i0:i1] @ stack[2:, i0:i1]))
-        upper[i0:i1] += near @ weights[i0:i1]
+        sol = solve_banded((0, 2), f[:, i0:i1], np.hstack((np.eye(c), cpl)))
+        uinv, prop = sol[:, :c], sol[:, c:]
+        # the far block, entry by entry up to the first chunk past the tile
+        coef = np.hstack((prop, prop @ yp[i1: i1 + 2] - yp[i0:i1]))
+        qa = -(-i1 // width)
+        s = slice(2 * qa, None)
+        far = np.abs(coef @ gen[:, i1: qa * width]) @ wpad[i1: qa * width]
+        if qa < n_chunks:
+            b = bounds(coef, s)
+            straddle = (b[:c] < 0) & (b[c:] < 0)    # lo < 0 < hi; exact zeros certify
+            chunk = np.abs(coef @ sums[:, s])
+            q = qa + np.flatnonzero(straddle.any(axis=0).reshape(-1, 2).any(axis=1))
+            if q.size:             # sum the straddling chunks entry by entry
+                cols, w = columns(q)
+                v = coef @ gen[:, cols.ravel()]
+                v = np.einsum("rqj,qj->rq", np.abs(v, out=v).reshape(c, -1, width // 2), w)
+                idx = (2 * (q[:, None] - qa) + np.arange(2)).ravel()
+                chunk[:, idx] = np.where(straddle[:, idx], v, chunk[:, idx])
+                chunk_stats(np.arange(2), q)    # carried boxes widen: reset
+            far += chunk.sum(axis=1)
+        # the near triangle; M[a, t] = M_aa P^T + y_a (g_a P^T - g_t)
+        ga, gt = gen[2:, i1: i1 + 2], gen[2:, i0:i1]
+        m_at = gen[:2, i1: i1 + 2] @ prop.T + yp[i1: i1 + 2] @ (ga @ prop.T - gt)
+        m_cols = np.vstack((uinv @ uinv.T + prop @ m_at + coef[:, 2:] @ gt, m_at))
+        near = np.abs(np.triu(m_cols[:c]))
+        upper[i0:i1] = far + near @ weights[i0:i1]
         diag[i0:i1] = np.diagonal(near) * weights[i0:i1]
-        # the next anchor: rows i0 and i0+1 (for c = 1, i0+1 is the old i1)
-        stack[:2, i1 + 2: m] = np.vstack((prop, np.eye(2)))[:2] @ stack[:2, i1 + 2: m]
-        stack[:2, i0: i1 + 2] = win[:2]
+        # the next anchor, rows i0 and i0+1 (for c = 1, i0+1 is the old i1)
+        step = np.vstack((coef, np.eye(2, 2 + k)))[:2]
+        gen[:2, i1:] = step @ gen[:, i1:]
+        gen[:2, i0:i1] = m_cols[:2]
+        box[[0, 1, 2 + k, 3 + k], s], sums[:2, s] = bounds(step, s), step @ sums[:, s]
+        if i0 <= (qa - 1) * width:      # chunks now wholly past the next tile
+            chunk_stats(np.arange(2), np.arange(-(-i0 // width), qa))
     # M[m-1-i, m-1-j] = M[i, j]: the lower row sums are the upper ones reversed
     return float(np.max(upper + upper[::-1] - diag))
 

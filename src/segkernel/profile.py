@@ -322,12 +322,12 @@ def solve_profile(
     The table on [-T, 0] is the exact mirror, so the symmetry invariant
     holds to round-off by construction.
     """
-    if T < 8:
-        raise ValueError("T must be >= 8 so the tail windows are clean")
+    if not (math.isfinite(T) and T >= 8):
+        raise ValueError("T must be finite and >= 8 so the tail windows are clean")
     if N < 9 or N % 2 == 0:
         raise ValueError("N must be odd (x=0 is a node) and not tiny")
-    if newton_tol <= 0:
-        raise ValueError("newton_tol must be positive")
+    if not (math.isfinite(newton_tol) and newton_tol > 0):
+        raise ValueError("newton_tol must be finite and positive")
 
     m = (N + 1) // 2
     x_half = np.arange(m) / (m - 1) * T

@@ -205,16 +205,28 @@ class TestConfigAndErrors:
         (["eig", "--omega", "0.1", "--R", "10", "--N", "3"], "--N"),
         (["counterexample", "--R", "50", "--N", "3"], "--N"),
         (["counterexample", "--R", "50", "--N", "800"], "--N"),
+        (["eig", "--omega", "0.1", "--R", "10", "--T", "inf"], "--T"),
+        (["eig", "--omega", "0.1", "--R", "10", "--T", "nan"], "--T"),
+        (["profile", "--T", "6"], "--T"),
+        (["sweep", "--omega", "0.1", "--R", "10", "--N-profile", "3"], "--N-profile"),
+        (["sweep", "--omega", "0.1", "--R", "10", "--N-profile", "1200"], "--N-profile"),
+        (["solve", "--newton-tol", "nan"], "--newton-tol"),
+        (["counterexample", "--R", "50", "--newton-tol", "0"], "--newton-tol"),
+        (["profile", "--newton-tol", "nan"], "--newton-tol"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
             "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
             "solve-N-even", "solve-N-decreasing", "solve-N-fraction",
-            "sweep-N-3", "eig-N-3", "counterexample-N-3", "counterexample-N-even"])
+            "sweep-N-3", "eig-N-3", "counterexample-N-3", "counterexample-N-even",
+            "eig-T-inf", "eig-T-nan", "profile-T-6", "sweep-N-profile-3",
+            "sweep-N-profile-even", "solve-newton-tol-nan",
+            "counterexample-newton-tol-0", "profile-newton-tol-nan"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()
-        out = tmp_path / "x.csv"
-        code = main([*argv, *common_args(str(cache)), "--out", str(out)])
+        out = tmp_path / "x.csv"       # for `profile`, the cache directory to write
+        # the later flag wins, so the case's flags follow the valid ones
+        code = main([argv[0], *common_args(str(cache)), *argv[1:], "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and flag in err and "Traceback" not in err

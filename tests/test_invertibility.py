@@ -67,28 +67,36 @@ class TestExactNorm:
 
     @pytest.mark.parametrize("n", [201, 200])
     def test_constrained_multi_block(self, table, monkeypatch, n):
-        # tiles of rows * m doubles: single rows; at m = 398 a ragged top
-        # tile of 14, 29, 2 and 1 rows; at m = 396 one of 12 and 27 rows,
-        # two full tiles of 198, or the one tile of 396
+        # tile heights from one row (a 1-row tile carries the anchor on) to
+        # one tile, odd ones giving ragged top tiles; chunk widths from 2,
+        # where every chunk is certified, to one chunk, which always
+        # straddles the tile and is summed entry by entry (the slow 1- and
+        # 2-row sweeps take these two widths only)
         grid = Grid(10.0, n)
-        op = assemble(table, 0.5, grid)
+        kb = kernel_basis(table, grid)
         ctx = NormContext(0.5)
-        elements = [kernel_basis(table, grid).z1]
-        k_dense = dense_k(table, op, ctx, elements)
-        m = op.n_unknowns
-        solve = op.solve_interior
-        for rows in (1, 16, 41, 198, 397):
-            shapes = []
+        for omega in (0.0, 0.5):
+            op = assemble(table, omega, grid)
+            m = op.n_unknowns
+            solve = op.solve_interior
+            for k in (1, 2):
+                elements = [kb.z1, kb.z2][:k]
+                k_dense = dense_k(table, op, ctx, elements)
+                for rows in (1, 2, 3, 16, 41, m):
+                    for width in (2, 4, 64, m + 2) if rows > 2 else (2, m + 2):
+                        shapes = []
 
-            def counting_solve(rhs):
-                shapes.append(rhs.shape)
-                return solve(rhs)
+                        def counting_solve(rhs):
+                            shapes.append(rhs.shape)
+                            return solve(rhs)
 
-            monkeypatch.setattr(op, "solve_interior", counting_solve)
-            monkeypatch.setattr(invertibility, "COLUMN_BLOCK", rows * m)
-            k = inv_constant_exact(op, ctx, orth_elements=elements)
-            assert shapes == [(m, 1)], rows        # the carrier, no unit columns
-            assert abs(k - k_dense) / k_dense <= 1e-10, rows
+                        monkeypatch.setattr(op, "solve_interior", counting_solve)
+                        monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
+                        monkeypatch.setattr(invertibility, "CHUNK_COLUMNS", width)
+                        got = inv_constant_exact(op, ctx, orth_elements=elements)
+                        case = (omega, k, rows, width)
+                        assert shapes == [(m, k)], case     # the carriers only
+                        assert abs(got - k_dense) / k_dense <= 1e-10, case
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
@@ -98,15 +106,17 @@ class TestExactNorm:
         omega=st.floats(0.0, 0.5),
         orth_mode=st.sampled_from(["none", "one"]),
         rows=st.integers(1, 64),
+        half_width=st.integers(1, 40),
     )
     def test_matches_dense_property(self, table, n, r_val, theta, omega, orth_mode,
-                                    rows):
+                                    rows, half_width):
         grid = Grid(r_val, n)
         op = assemble(table, omega, grid)
         ctx = NormContext(theta)
         elements = [kernel_basis(table, grid).z1] if orth_mode == "one" else None
         k_dense = dense_k(table, op, ctx, elements)
-        with mock.patch.object(invertibility, "COLUMN_BLOCK", rows * op.n_unknowns):
+        with mock.patch.multiple(invertibility, TILE_ROWS=rows,
+                                 CHUNK_COLUMNS=2 * half_width):
             k = inv_constant_exact(op, ctx, orth_elements=elements)
         assert abs(k - k_dense) / k_dense <= 1e-10
         est = inv_constant_estimate(op, ctx, orth_elements=elements)
@@ -131,9 +141,14 @@ class TestExactNorm:
         assert k >= 0.98 * bound
 
     def test_size_guard(self, table):
-        op = assemble(table, 0.5, Grid(10.0, 201))
+        # the guard bounds constrained K only; plain K is one banded solve
+        grid = Grid(10.0, 201)
+        op = assemble(table, 0.5, grid)
+        ctx = NormContext(0.5)
+        elements = [kernel_basis(table, grid).z1]
         with pytest.raises(BudgetExceeded):
-            inv_constant_exact(op, NormContext(0.5), size_guard=100)
+            inv_constant_exact(op, ctx, orth_elements=elements, size_guard=100)
+        assert inv_constant_exact(op, ctx, size_guard=100) == inv_constant_exact(op, ctx)
 
 
 class TestReflection:

@@ -95,6 +95,12 @@ class TestSolve:
             solve_profile(T=12.0, N=4800)
         with pytest.raises(ValueError):
             solve_profile(T=12.0, N=4801, newton_tol=-1.0)
+        # NaN fails every comparison, so it must be rejected explicitly
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="T must"):
+                solve_profile(T=bad, N=4801)
+            with pytest.raises(ValueError, match="newton_tol"):
+                solve_profile(T=12.0, N=4801, newton_tol=bad)
 
 
 class TestAsymptotics:
