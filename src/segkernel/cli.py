@@ -191,13 +191,16 @@ def _sweep_plan(args) -> list[SweepPoint]:
     omegas = _checked_list(args.omega, "--omega", zero_ok=True)
     _checked_list(args.theta, "--theta")
     _checked_nodes(args.N)
-    if args.omegaR:
+    products = _checked_list(args.omegaR or "", "--omegaR")
+    radii = _checked_list(args.R or "", "--R")
+    if products and radii:
+        raise ValueError("--omegaR and --R are exclusive: give one")
+    if products:
         if any(om <= 0 for om in omegas):
             raise ValueError("--omegaR requires strictly positive omega values")
-        pairs = [(om, o_r / om) for om in omegas
-                 for o_r in _checked_list(args.omegaR, "--omegaR")]
-    elif args.R:
-        pairs = [(om, r_val) for om in omegas for r_val in _checked_list(args.R, "--R")]
+        pairs = [(om, o_r / om) for om in omegas for o_r in products]
+    elif radii:
+        pairs = [(om, r_val) for om in omegas for r_val in radii]
     else:
         raise ValueError("need --omegaR or --R")
     return [
@@ -215,10 +218,9 @@ def cmd_sweep(args) -> int:
         "command": "sweep", "theta": args.theta, "omega": args.omega,
         "omegaR": args.omegaR or "", "R": args.R or "",
         "orth_mode": args.orth_mode, "method": args.method,
-        "seed": args.seed, "jobs": args.jobs,
-        "timings": bool(args.timings),
+        "seed": args.seed, "timings": bool(args.timings),
     }
-    records = run_sweep(table, plan, estimator_seed=args.seed, jobs=args.jobs)
+    records = run_sweep(table, plan, estimator_seed=args.seed)
     rows = []
     code = EXIT_OK
     for rec in records:
@@ -313,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orth-mode", default="none", dest="orth_mode",
                     choices=["none", "one", "two"])
     sp.add_argument("--method", default="exact", choices=["exact", "estimated"])
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timings", action="store_true",
                     help="record real runtimes (breaks byte determinism)")
 

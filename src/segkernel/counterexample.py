@@ -214,9 +214,11 @@ def lower_bound_from_counterexample(
     p: ProfileTable, theta: float, omega: float, R: float, N: int | None = None
 ) -> float:
     """Certified-style lower bound on K(omega, R, theta):
-    ||phi||_inf / ||L phi||_theta for the glued pair at this (omega, R)."""
+    ||phi||_inf / ||L phi||_theta for the glued pair at this (omega, R),
+    on the spec grid only (no doubled-resolution gate)."""
     spec = CounterexampleSpec(
         R=R, theta=theta, omega=omega, N=N or default_node_count(R)
     )
-    rep = counterexample_residual(p, spec, strict=False)
-    return rep.norm_phi / (omega * rep.r)
+    weighted, phi, _ = _windowed_weighted_residual(p, spec, spec.N, NormContext(theta))
+    r = weighted / omega      # as in counterexample_residual; no refinement
+    return unweighted_sup_norm(phi) / (omega * r)

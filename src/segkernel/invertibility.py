@@ -41,6 +41,8 @@ CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 EIG_SEED = 987654321
+ESTIMATE_MAX_ITERS = 20     # Hager power steps per restart
+ESTIMATE_RESTARTS = 5       # the all-ones start, then random signs
 
 
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
@@ -52,7 +54,6 @@ def inv_constant_exact(
     op: DiscreteOperator,
     ctx: NormContext,
     orth_elements=None,
-    size_guard: int = EXACT_SIZE_GUARD,
 ) -> float:
     """Exact discrete K: the infinity norm of solve composed with the
     weight map (and with the orthogonality projector, when given).
@@ -90,8 +91,10 @@ def inv_constant_exact(
         s[1::2] = -1.0
         return float(np.max(s * op.solve_interior(s * weights)))
 
-    if m > size_guard:
-        raise BudgetExceeded(f"{m} unknowns exceed the exact-method guard {size_guard}")
+    if m > EXACT_SIZE_GUARD:
+        raise BudgetExceeded(
+            f"{m} unknowns exceed the exact-method guard {EXACT_SIZE_GUARD}"
+        )
     proj = Projector(orth_elements, op.grid, ctx)
     k = len(proj.zrows)
     f = np.zeros((3, m + 2))       # U of L = U^T U in upper band storage,
@@ -177,8 +180,6 @@ def inv_constant_estimate(
     op: DiscreteOperator,
     ctx: NormContext,
     orth_elements=None,
-    max_iters: int = 20,
-    restarts: int = 5,
     seed: int = 42,
 ) -> float:
     """Lower estimate of the same norm by Hager's one-norm power scheme
@@ -209,13 +210,13 @@ def inv_constant_estimate(
 
     rng = np.random.default_rng(seed)
     best = 0.0
-    for restart in range(max(1, restarts)):
+    for restart in range(ESTIMATE_RESTARTS):
         if restart == 0:
             x = np.full(m, 1.0 / m)
         else:
             x = rng.choice([-1.0, 1.0], size=m) / m
         est_prev = 0.0
-        for _ in range(max_iters):
+        for _ in range(ESTIMATE_MAX_ITERS):
             y = mt_apply(x)
             est = float(np.sum(np.abs(y)))
             xi = np.sign(y)
@@ -241,18 +242,14 @@ def _shifted_factor(op: DiscreteOperator, sigma: float):
         return None
 
 
-def smallest_eigenvalue(
-    op: DiscreteOperator,
-    eig_tol: float = EIG_TOL,
-    max_iters: int = EIG_MAX_ITERS,
-) -> float:
+def smallest_eigenvalue(op: DiscreteOperator) -> float:
     """Certified smallest eigenvalue of the interior banded matrix.
 
     L = L(0) + omega^2 I exactly, so inverse power iteration runs on the
     factor of L - omega^2 I (the cached factor at omega = 0, or if that
     shift does not factor), whose convergence ratio does not degrade
     with omega, and adds omega^2 back.  It stops when successive Rayleigh
-    quotients differ by < eig_tol * |value|.  The quotient rho bounds
+    quotients differ by < EIG_TOL * |value|.  The quotient rho bounds
     lambda_min above; factoring L - (rho - delta) I proves
     lambda_min > rho - delta, else NoConvergence is raised.
     """
@@ -266,17 +263,17 @@ def smallest_eigenvalue(
     if factor is None:
         shift, factor = 0.0, op.factorization()
     rho_prev = rho = None
-    for it in range(max_iters):
+    for it in range(EIG_MAX_ITERS):
         y = cho_solve_banded((factor, False), v)
         ny = float(np.linalg.norm(y))
         rho = float(y @ v) / (ny * ny) + shift
         v = y / ny
-        if it >= 3 and abs(rho - rho_prev) < eig_tol * abs(rho):
+        if it >= 3 and abs(rho - rho_prev) < EIG_TOL * abs(rho):
             break
         rho_prev = rho
     else:
         raise NoConvergence(
-            f"eigenvalue iteration hit {max_iters} iterations", last_value=rho
+            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho
         )
     delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.band[2]))
     if _shifted_factor(op, rho - delta) is None:
@@ -328,14 +325,18 @@ def run_sweep_entry(
     k_val = lam = ce = float("nan")
     err = ""
     try:
+        n_orth = {"none": 0, "one": 1, "two": 2}.get(point.orth_mode)
+        if n_orth is None:
+            raise ValueError(f"unknown orth_mode {point.orth_mode!r}")
+        if point.method not in ("exact", "estimated"):
+            raise ValueError(f"unknown method {point.method!r}")
         grid = Grid(point.R, point.N)
         ctx = NormContext(point.theta)
         op = assemble(p, point.omega, grid)
-        if point.orth_mode == "none":
-            elements = None
-        else:
+        elements = None
+        if n_orth:
             kb = kernel_basis(p, grid)
-            elements = [kb.z1] if point.orth_mode == "one" else [kb.z1, kb.z2]
+            elements = [kb.z1, kb.z2][:n_orth]
         try:
             lam = smallest_eigenvalue(op)
         except NoConvergence as exc:
@@ -343,12 +344,10 @@ def run_sweep_entry(
             err = f"NoConvergence: {exc}"
         if point.method == "exact":
             k_val = inv_constant_exact(op, ctx, orth_elements=elements)
-        elif point.method == "estimated":
+        else:
             k_val = inv_constant_estimate(
                 op, ctx, orth_elements=elements, seed=estimator_seed
             )
-        else:
-            raise ValueError(f"unknown method {point.method!r}")
         if point.omega > 0 and point.omega * point.R >= 1.0:
             ce = lower_bound_from_counterexample(
                 p, point.theta, point.omega, point.R, point.N
@@ -374,13 +373,6 @@ def run_sweep_entry(
     )
 
 
-def run_sweep(p: ProfileTable, plan, estimator_seed: int = 42, jobs: int = 1):
-    """Run the whole plan; results come back in plan order."""
-    plan = list(plan)
-    if jobs <= 1:
-        return [run_sweep_entry(p, pt, estimator_seed) for pt in plan]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_sweep_entry, p, pt, estimator_seed) for pt in plan]
-        return [f.result() for f in futures]
+def run_sweep(p: ProfileTable, plan, estimator_seed: int = 42):
+    """Run the whole plan in order, one entry at a time."""
+    return [run_sweep_entry(p, pt, estimator_seed) for pt in plan]

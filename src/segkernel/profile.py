@@ -35,7 +35,6 @@ DEFAULT_T = 12.0
 DEFAULT_N = 4801
 DEFAULT_NEWTON_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-12
-DEFAULT_SYMMETRY_TOL = 1e-12
 
 # Values of the dying component below this are dominated by round-off;
 # beyond the first crossing the table switches to the matched decay model.
@@ -58,7 +57,7 @@ class AsymptoticConstants:
 class ProfileTable:
     """Sampled profile on [-T, T] with derivatives and tail constants.
 
-    Immutable once built; safe to share read-only across threads.
+    Immutable once built.
     """
 
     half_length: float
@@ -69,8 +68,6 @@ class ProfileTable:
     dv2: np.ndarray
     asymptotics: AsymptoticConstants
     newton_tol: float
-    tail_tol: float = DEFAULT_TAIL_TOL
-    symmetry_tol: float = DEFAULT_SYMMETRY_TOL
 
     @property
     def n_nodes(self) -> int:
@@ -312,7 +309,6 @@ def solve_profile(
     T: float = DEFAULT_T,
     N: int = DEFAULT_N,
     newton_tol: float = DEFAULT_NEWTON_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ProfileTable:
     """Solve for the profile on [-T, T] with N nodes (N odd).
 
@@ -372,7 +368,6 @@ def solve_profile(
         dv2=dv2,
         asymptotics=AsymptoticConstants(a_prov, b_prov, math.inf, 0.0),
         newton_tol=newton_tol,
-        tail_tol=tail_tol,
     )
     table = replace(table, asymptotics=extract_asymptotics(table, default_fit_window(T)))
 
@@ -400,7 +395,7 @@ def extract_asymptotics(
     x_lo, x_hi = fit_window
     if not (0.0 < x_lo < x_hi <= p.half_length):
         raise ValueError("fit window must satisfy 0 < x_lo < x_hi <= T")
-    tol = p.tail_tol if contamination_tol is None else contamination_tol
+    tol = DEFAULT_TAIL_TOL if contamination_tol is None else contamination_tol
 
     sel = (p.nodes >= x_lo) & (p.nodes <= x_hi)
     if np.count_nonzero(sel) < 8:

@@ -106,15 +106,6 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_matches_serial(self, cache_dir, tmp_path):
-        base = ["sweep", *common_args(cache_dir), "--theta", "0.5",
-                "--omega", "0.2,0.3,0.4", "--R", "15", "--N", "601"]
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
-        strip = lambda p: [l for l in read_lines(p) if "jobs" not in l]
-        assert strip(out1) == strip(out2)
-
     def test_estimated_method(self, cache_dir, tmp_path):
         out = tmp_path / "est.csv"
         code = main(["sweep", *common_args(cache_dir), "--theta", "0.5",
@@ -170,6 +161,8 @@ class TestConfigAndErrors:
         assert main(["sweep", *common_args(cache_dir), "--theta", "0.5",
                      "--omega", "0.2", "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["--config", "/nonexistent.json"]) == 1
+        assert main(["sweep", *common_args(cache_dir), "--omega", "0.2", "--R", "15",
+                     "--jobs", "2", "--out", str(tmp_path / "x.csv")]) == 1
         capsys.readouterr()
 
     @pytest.mark.parametrize("flag, value", [
@@ -213,6 +206,7 @@ class TestConfigAndErrors:
         (["solve", "--newton-tol", "nan"], "--newton-tol"),
         (["counterexample", "--R", "50", "--newton-tol", "0"], "--newton-tol"),
         (["profile", "--newton-tol", "nan"], "--newton-tol"),
+        (["sweep", "--omega", "0.2", "--omegaR", "4", "--R", "99"], "--omegaR and --R"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
             "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
@@ -220,7 +214,8 @@ class TestConfigAndErrors:
             "sweep-N-3", "eig-N-3", "counterexample-N-3", "counterexample-N-even",
             "eig-T-inf", "eig-T-nan", "profile-T-6", "sweep-N-profile-3",
             "sweep-N-profile-even", "solve-newton-tol-nan",
-            "counterexample-newton-tol-0", "profile-newton-tol-nan"])
+            "counterexample-newton-tol-0", "profile-newton-tol-nan",
+            "sweep-omegaR-with-R"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()

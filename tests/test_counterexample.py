@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from segkernel import counterexample
 from segkernel.counterexample import (
     CounterexampleSpec,
     build_counterexample,
@@ -170,3 +172,16 @@ class TestResidual:
     def test_lower_bound_positive(self, table):
         bound = lower_bound_from_counterexample(table, 0.5, 0.2, 50.0, 4001)
         assert bound > 0.01 / 0.2
+
+    @pytest.mark.parametrize("omega, R", [(0.2, 50.0), (0.05, 400.0)])
+    def test_lower_bound_is_the_coarse_quotient(self, table, omega, R):
+        # ||phi||_inf / (omega r) at the spec grid, bit for bit, from one
+        # assembly: the doubled-resolution gate is not run
+        rep = counterexample_residual(
+            table, CounterexampleSpec(R=R, theta=0.5, omega=omega), strict=False
+        )
+        with mock.patch.object(counterexample, "assemble",
+                               wraps=counterexample.assemble) as spy:
+            bound = lower_bound_from_counterexample(table, 0.5, omega, R)
+        assert spy.call_count == 1
+        assert bound == rep.norm_phi / (omega * rep.r)

@@ -140,15 +140,17 @@ class TestExactNorm:
         bound = lower_bound_from_counterexample(table, 0.5, 0.3, 20.0, 1601)
         assert k >= 0.98 * bound
 
-    def test_size_guard(self, table):
+    def test_size_guard(self, table, monkeypatch):
         # the guard bounds constrained K only; plain K is one banded solve
         grid = Grid(10.0, 201)
         op = assemble(table, 0.5, grid)
         ctx = NormContext(0.5)
         elements = [kernel_basis(table, grid).z1]
-        with pytest.raises(BudgetExceeded):
-            inv_constant_exact(op, ctx, orth_elements=elements, size_guard=100)
-        assert inv_constant_exact(op, ctx, size_guard=100) == inv_constant_exact(op, ctx)
+        k_plain = inv_constant_exact(op, ctx)
+        monkeypatch.setattr(invertibility, "EXACT_SIZE_GUARD", 100)
+        with pytest.raises(BudgetExceeded, match="guard 100"):
+            inv_constant_exact(op, ctx, orth_elements=elements)
+        assert inv_constant_exact(op, ctx) == k_plain
 
 
 class TestReflection:
@@ -206,11 +208,12 @@ class TestEstimate:
             est = inv_constant_estimate(op, ctx, seed=int(rng.integers(1 << 30)))
             assert est <= exact * (1.0 + 1e-12)
 
-    def test_more_restarts_never_worse(self, table, small_case):
+    def test_more_restarts_never_worse(self, table, small_case, monkeypatch):
         _, op, _ = small_case
         ctx = NormContext(0.5)
-        e1 = inv_constant_estimate(op, ctx, restarts=1, seed=42)
-        e5 = inv_constant_estimate(op, ctx, restarts=5, seed=42)
+        e5 = inv_constant_estimate(op, ctx, seed=42)
+        monkeypatch.setattr(invertibility, "ESTIMATE_RESTARTS", 1)
+        e1 = inv_constant_estimate(op, ctx, seed=42)
         assert e5 >= e1
 
 
@@ -278,10 +281,12 @@ class TestEigenvalue:
             lam = smallest_eigenvalue(assemble(table, om, grid))
             assert lam >= om * om - 1e-4
 
-    def test_iteration_cap_raises_with_value(self, table):
+    def test_iteration_cap_raises_with_value(self, table, monkeypatch):
         op = assemble(table, 0.05, Grid(60.0, 1601))
+        monkeypatch.setattr(invertibility, "EIG_TOL", 1e-30)
+        monkeypatch.setattr(invertibility, "EIG_MAX_ITERS", 5)
         with pytest.raises(NoConvergence, match="5 iterations") as info:
-            smallest_eigenvalue(op, eig_tol=1e-30, max_iters=5)
+            smallest_eigenvalue(op)
         assert info.value.last_value is not None
 
 
@@ -291,24 +296,20 @@ class TestSweep:
             SweepPoint(theta=0.5, omega=0.2, R=20.0, N=801),
             SweepPoint(theta=0.5, omega=0.2, R=20.0, N=801, method="bogus"),
             SweepPoint(theta=0.5, omega=0.0, R=20.0, N=801),
+            SweepPoint(theta=0.5, omega=0.0, R=20.0, N=801, orth_mode="bogus"),
+            SweepPoint(theta=0.5, omega=0.0, R=20.0, N=801, orth_mode="One"),
         ]
         recs = run_sweep(table, plan)
-        assert len(recs) == 3
+        assert len(recs) == 5
         assert recs[0].error == "" and np.isfinite(recs[0].K)
-        assert recs[1].error != "" and np.isnan(recs[1].K)
+        assert recs[1].error == "ValueError: unknown method 'bogus'"
         assert recs[2].error == "" and recs[2].omega_K == 0.0
         assert np.isnan(recs[2].ce_lower_bound)
-
-    def test_parallel_matches_serial(self, table):
-        plan = [
-            SweepPoint(theta=0.5, omega=om, R=20.0, N=801)
-            for om in (0.2, 0.3, 0.4)
-        ]
-        serial = run_sweep(table, plan, jobs=1)
-        parallel = run_sweep(table, plan, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.K == b.K
-            assert a.lambda_min == b.lambda_min
+        assert recs[3].error == "ValueError: unknown orth_mode 'bogus'"
+        assert recs[4].error == "ValueError: unknown orth_mode 'One'"
+        # rejected before any solve
+        for rec in recs[1:2] + recs[3:]:
+            assert np.isnan(rec.K) and np.isnan(rec.lambda_min)
 
     def test_estimated_method_recorded(self, table):
         rec = run_sweep_entry(

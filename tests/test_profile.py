@@ -10,6 +10,7 @@ from segkernel.errors import (
     WindowTooContaminated,
 )
 from segkernel.profile import (
+    DEFAULT_TAIL_TOL,
     AsymptoticConstants,
     ProfileTable,
     discrete_residual,
@@ -51,8 +52,8 @@ class TestSolve:
         assert np.max(np.abs(table.dv1[::-1] + table.dv2)) <= 1e-12
 
     def test_tails_below_tolerance(self, table):
-        assert table.v2[-1] <= table.tail_tol
-        assert table.v1[0] <= table.tail_tol
+        assert table.v2[-1] <= DEFAULT_TAIL_TOL
+        assert table.v1[0] <= DEFAULT_TAIL_TOL
         assert table.v2[-1] > 0  # modeled decay, not a hard zero
 
     def test_positivity(self, table):
@@ -115,7 +116,7 @@ class TestAsymptotics:
         assert abs(a1.A - a2.A) / a2.A <= 1e-6
 
     def test_stored_fit_is_tail_consistent(self, table):
-        assert table.asymptotics.fit_residual <= 10.0 * table.tail_tol
+        assert table.asymptotics.fit_residual <= 10.0 * DEFAULT_TAIL_TOL
 
     def test_exact_affine_input_recovered(self, table):
         v1 = 2.0 * table.nodes + 3.0
@@ -191,8 +192,8 @@ class TestEval:
         T = table.half_length
         a = table.asymptotics
         inside = eval_profile(table, T)
-        assert abs(inside[0] - (a.A * T + a.B)) <= table.tail_tol
-        assert abs(inside[2]) <= table.tail_tol
+        assert abs(inside[0] - (a.A * T + a.B)) <= DEFAULT_TAIL_TOL
+        assert abs(inside[2]) <= DEFAULT_TAIL_TOL
 
 
 class TestCache:
