@@ -29,7 +29,6 @@ from .norms import (
     Projector,
     kernel_basis,
     pair_inner,
-    project_orthogonal,
     unweighted_sup_norm,
     weighted_sup_norm,
 )

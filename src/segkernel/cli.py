@@ -3,8 +3,8 @@ solves, counterexample reports, invertibility sweeps, and eigenvalue
 tables, with reproducible CSV output.
 
 Every CSV starts with a `# segkernel v1` line followed by the resolved
-configuration as `#`-prefixed comments.  Identical configuration and
-seed give byte-identical output; per-entry wall times are suppressed
+configuration as `#`-prefixed comments.  Identical configuration
+gives byte-identical output; per-entry wall times are suppressed
 (written as 0) unless --timings is passed, precisely so that reruns
 reproduce the file bit for bit.
 """
@@ -133,7 +133,7 @@ def cmd_solve(args) -> int:
     table = _resolve_profile(args)
     cfg = {
         "command": "solve", "theta": args.theta, "omega": args.omega,
-        "R": args.R, "N": ",".join(str(n) for n in n_list), "seed": args.seed,
+        "R": args.R, "N": ",".join(str(n) for n in n_list),
     }
     rows = []
     code = EXIT_OK
@@ -156,7 +156,7 @@ def cmd_counterexample(args) -> int:
     table = _resolve_profile(args)
     cfg = {
         "command": "counterexample", "theta": args.theta,
-        "R": ",".join(_fmt(r) for r in r_list), "seed": args.seed,
+        "R": ",".join(_fmt(r) for r in r_list),
     }
     center = (table.n_nodes - 1) // 2
     dv0 = (table.dv1[center], table.dv2[center])
@@ -248,7 +248,7 @@ def cmd_eig(args) -> int:
     _checked_nodes(args.N)
     table = _resolve_profile(args)
     cfg = {
-        "command": "eig", "omega": args.omega, "R": args.R, "seed": args.seed,
+        "command": "eig", "omega": args.omega, "R": args.R,
     }
     rows = []
     code = EXIT_OK
@@ -266,13 +266,21 @@ def cmd_eig(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises parse errors as ValueError, so that they reach main's
+    one-line error path; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segkernel",
         description="phase-separation profile and linearized Dirichlet experiments",
     )
     parser.add_argument("--config", help="JSON file with flat keys matching flags")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, needs_out=True):
         sp.add_argument("--T", type=float, default=prof.DEFAULT_T)
@@ -282,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         dest="newton_tol")
         sp.add_argument("--cache-dir", default=None, dest="cache_dir",
                         help="profile cache directory (env SEGKERNEL_CACHE)")
-        sp.add_argument("--seed", type=int, default=42)
         if needs_out:
             sp.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
 
@@ -315,6 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orth-mode", default="none", dest="orth_mode",
                     choices=["none", "one", "two"])
     sp.add_argument("--method", default="exact", choices=["exact", "estimated"])
+    sp.add_argument("--seed", type=int, default=42,
+                    help="seeds the constrained estimate's restarts")
     sp.add_argument("--timings", action="store_true",
                     help="record real runtimes (breaks byte determinism)")
 
@@ -364,23 +373,19 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    handler = {
+    handlers = {
         "profile": cmd_profile,
         "solve": cmd_solve,
         "counterexample": cmd_counterexample,
         "sweep": cmd_sweep,
         "eig": cmd_eig,
-    }[args.command]
+    }
     try:
+        args = parser.parse_args(argv)
         _checked_profile(args)      # before any profile is solved
-        return handler(args)
+        return handlers[args.command](args)
+    except SystemExit as exc:       # --help
+        return exc.code or EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,10 +14,12 @@ is summed over the upper triangle of L^-1, tile by tile from the cached
 Cholesky factor: the triangle inside a tile is a Schur form of its
 diagonal block (Takahashi selected inversion), and the columns past it
 are summed in chunks whose sign is certified by interval bounds; the
-reflection symmetry supplies the lower triangle.  A Hager-style
-one-norm power scheme provides a certified lower estimate.  The
-smallest eigenvalue comes from inverse iteration on
-L - omega^2 I = L(0), with a Cholesky-inertia check as its lower bound.
+reflection symmetry supplies the lower triangle.  The estimate
+method returns plain K itself; under constraints a Hager-style one-norm
+power scheme provides a certified lower estimate.  The smallest
+eigenvalue comes from inverse iteration on L - omega^2 I = L(0), started
+from s / sqrt(m) (by Perron-Frobenius its eigenvector is diag(s) p with
+p > 0), with a Cholesky-inertia check as its lower bound.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
-EIG_SEED = 987654321
 ESTIMATE_MAX_ITERS = 20     # Hager power steps per restart
 ESTIMATE_RESTARTS = 5       # the all-ones start, then random signs
 
@@ -182,31 +183,26 @@ def inv_constant_estimate(
     orth_elements=None,
     seed: int = 42,
 ) -> float:
-    """Lower estimate of the same norm by Hager's one-norm power scheme
-    applied to the transpose; max over deterministic + random restarts.
+    """Lower estimate of the same norm.  Without constraints that is
+    plain K itself, exact from one solve; with them, Hager's one-norm
+    power scheme applied to the transpose, max over the all-ones start
+    and random-sign restarts drawn from seed.
 
     Always returns a valid lower bound (each iterate evaluates
     ||M x||_1 at a unit one-norm x).
     """
+    if not orth_elements:
+        return inv_constant_exact(op, ctx)
     m = op.n_unknowns
     weights = _interior_weights(op, ctx)
-    op.factorization()
-    if orth_elements:
-        proj = Projector(orth_elements, op.grid, ctx)
-    else:
-        proj = None
+    op.factorization()      # a singular operator fails before the Gram check
+    proj = Projector(orth_elements, op.grid, ctx)
 
     def m_apply(v):          # M = solve o P o D
-        u = weights * v
-        if proj is not None:
-            u = proj.apply(u)
-        return op.solve_interior(u)
+        return op.solve_interior(proj.apply(weights * v))
 
     def mt_apply(v):         # M^T = D o P^T o solve
-        u = op.solve_interior(v)
-        if proj is not None:
-            u = proj.apply_transpose(u)
-        return weights * u
+        return weights * proj.apply_transpose(op.solve_interior(v))
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -248,15 +244,18 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
     L = L(0) + omega^2 I exactly, so inverse power iteration runs on the
     factor of L - omega^2 I (the cached factor at omega = 0, or if that
     shift does not factor), whose convergence ratio does not degrade
-    with omega, and adds omega^2 back.  It stops when successive Rayleigh
-    quotients differ by < EIG_TOL * |value|.  The quotient rho bounds
-    lambda_min above; factoring L - (rho - delta) I proves
-    lambda_min > rho - delta, else NoConvergence is raised.
+    with omega, and adds omega^2 back.  As diag(s) L diag(s) is a
+    Stieltjes matrix, s = (+1, -1, +1, ...), its inverse is entrywise
+    positive and (Perron-Frobenius) the lambda_min eigenvector of L is
+    diag(s) p with p > 0; the start s / sqrt(m) overlaps it well.  The
+    iteration stops when successive Rayleigh quotients differ by
+    < EIG_TOL * |value|.  The quotient rho bounds lambda_min above;
+    factoring L - (rho - delta) I proves lambda_min > rho - delta, else
+    NoConvergence is raised.
     """
     m = op.n_unknowns
-    rng = np.random.default_rng(EIG_SEED)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
+    v = np.full(m, 1.0 / math.sqrt(m))
+    v[1::2] *= -1.0
 
     shift = op.omega ** 2
     factor = _shifted_factor(op, shift) if shift > 0.0 else None

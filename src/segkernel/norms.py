@@ -121,14 +121,3 @@ class Projector:
         """Projected copy of g with zero Dirichlet endpoints, so its
         trapezoid pairings with the z_i equal the interior ones."""
         return deinterleave(self.grid, self.apply(interleave(g)))
-
-
-def project_orthogonal(
-    g: PairGridFunction,
-    elements,
-    grid: Grid,
-    ctx: NormContext,
-) -> PairGridFunction:
-    """Return g minus carrier multiples, with zero endpoints, so that the
-    trapezoid integrals of (z_i . g) vanish for every chosen z_i."""
-    return Projector(elements, grid, ctx)(g)

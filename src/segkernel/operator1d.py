@@ -76,9 +76,6 @@ class PairGridFunction:
     def zeros(cls, grid: Grid) -> "PairGridFunction":
         return cls(grid, np.zeros(grid.N), np.zeros(grid.N))
 
-    def copy(self) -> "PairGridFunction":
-        return PairGridFunction(self.grid, self.comp1.copy(), self.comp2.copy())
-
 
 def interleave(u: PairGridFunction) -> np.ndarray:
     """Interior unknown vector in (comp1_j, comp2_j) per-node order."""

@@ -143,12 +143,13 @@ def _half_line_jacobian_banded(v1, v2, h):
     return ab
 
 
-def _newton_half_line(x, newton_tol, max_iters=80, max_halvings=30):
+def _newton_half_line(x, max_iters=80, max_halvings=30):
     """Damped Newton, run to the round-off floor of the residual.
 
     Stops once the sup-norm residual stalls (the floor is set by value
-    quantization: ~2 ulp(v1) / h^2 in the affine zone); reaching
-    newton_tol itself is judged by the caller after postprocessing.
+    quantization: ~2 ulp(v1) / h^2 in the affine zone) and returns the
+    iterate with its sup residual; reaching newton_tol is judged by the
+    caller after postprocessing.
     """
     h = x[1] - x[0]
     v1, v2 = _initial_guess(x)
@@ -328,7 +329,7 @@ def solve_profile(
     m = (N + 1) // 2
     x_half = np.arange(m) / (m - 1) * T
     h = T / (m - 1)
-    v1h, v2h, _ = _newton_half_line(x_half, newton_tol)
+    v1h, v2h, _ = _newton_half_line(x_half)
     # normalization is imposed, not approximated
     v1h[0] = 1.0
     v2h[0] = 1.0

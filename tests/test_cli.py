@@ -157,13 +157,34 @@ class TestConfigAndErrors:
         assert any(l == "# theta=0.6" for l in lines2)
 
     def test_usage_errors(self, cache_dir, tmp_path, capsys):
-        assert main([]) == 1
-        assert main(["sweep", *common_args(cache_dir), "--theta", "0.5",
-                     "--omega", "0.2", "--out", str(tmp_path / "x.csv")]) == 1
-        assert main(["--config", "/nonexistent.json"]) == 1
-        assert main(["sweep", *common_args(cache_dir), "--omega", "0.2", "--R", "15",
-                     "--jobs", "2", "--out", str(tmp_path / "x.csv")]) == 1
-        capsys.readouterr()
+        out = ["--out", str(tmp_path / "x.csv")]
+        sweep = ["sweep", *common_args(cache_dir), "--omega", "0.2", "--R", "15"]
+        for argv in (
+            [],
+            ["sweep", *common_args(cache_dir), "--theta", "0.5", "--omega", "0.2", *out],
+            ["--config", "/nonexistent.json"],
+            [*sweep, "--bogus", "2", *out],
+            [*sweep, "--jobs", "2", *out],
+            sweep,                                  # no --out
+            [*sweep, "--orth-mode", "three", *out],
+            [*sweep, "--N-profile", "abc", *out],
+            # --seed seeds the constrained estimate, so only sweep takes it
+            ["eig", *common_args(cache_dir), "--omega", "0.1", "--R", "10",
+             "--seed", "1", *out],
+            ["solve", *common_args(cache_dir), "--seed", "1", *out],
+            ["counterexample", *common_args(cache_dir), "--R", "50", "--seed", "1", *out],
+            ["profile", *common_args(cache_dir), "--seed", "1"],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["sweep", "--help"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--R", "0"), ("--R", "20,nan"), ("--omegaR", "0"), ("--omegaR", "inf"),

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve_banded
 
 from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
@@ -209,12 +210,22 @@ class TestEstimate:
             assert est <= exact * (1.0 + 1e-12)
 
     def test_more_restarts_never_worse(self, table, small_case, monkeypatch):
-        _, op, _ = small_case
+        grid, op, _ = small_case
         ctx = NormContext(0.5)
-        e5 = inv_constant_estimate(op, ctx, seed=42)
+        elements = [kernel_basis(table, grid).z1]
+        e5 = inv_constant_estimate(op, ctx, orth_elements=elements, seed=42)
         monkeypatch.setattr(invertibility, "ESTIMATE_RESTARTS", 1)
-        e1 = inv_constant_estimate(op, ctx, seed=42)
+        e1 = inv_constant_estimate(op, ctx, orth_elements=elements, seed=42)
         assert e5 >= e1
+
+    def test_plain_estimate_is_exact_k(self, table):
+        # without constraints the estimate is plain K's one solve, bit for
+        # bit and whatever the seed
+        op = assemble(table, 0.2, Grid(100.0, 8001))
+        ctx = NormContext(0.5)
+        exact = inv_constant_exact(op, ctx)
+        for seed in (0, 42):
+            assert inv_constant_estimate(op, ctx, seed=seed) == exact
 
 
 class TestEigenvalue:
@@ -237,6 +248,20 @@ class TestEigenvalue:
         lam_dense = np.linalg.eigvalsh(dense_matrix(table, omega, grid))[0]
         lam = smallest_eigenvalue(assemble(table, omega, grid))
         assert abs(lam - lam_dense) / abs(lam_dense) <= 1e-8
+
+    def test_sign_vector_start_converges_fast(self, table, monkeypatch):
+        # the lambda_min eigenvector is diag(s) p with p > 0, so the start
+        # s / sqrt(m) needs few iterations (a random start took 16 here)
+        op = assemble(table, 0.0, Grid(160.0, 12801))
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return cho_solve_banded(*args, **kwargs)
+
+        monkeypatch.setattr(invertibility, "cho_solve_banded", counting_solve)
+        smallest_eigenvalue(op)
+        assert len(calls) <= 10
 
     def test_identity_shift(self, table):
         # the fine R = 10 grid (2/h^2 = 8e4) fails if omega^2 is taken off

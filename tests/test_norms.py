@@ -7,7 +7,6 @@ from segkernel.norms import (
     Projector,
     kernel_basis,
     pair_inner,
-    project_orthogonal,
     unweighted_sup_norm,
     weighted_sup_norm,
 )
@@ -110,7 +109,7 @@ class TestProjection:
     def test_projected_integral_vanishes(self, table, grid, ctx):
         kb = kernel_basis(table, grid)
         g = random_localized(grid, 5)
-        gp = project_orthogonal(g, [kb.z1], grid, ctx)
+        gp = Projector([kb.z1], grid, ctx)(g)
         # zero endpoints: the trapezoid pairing is the interior one
         assert gp.comp1[0] == gp.comp1[-1] == gp.comp2[0] == gp.comp2[-1] == 0.0
         integral = pair_inner(kb.z1, gp, grid)
@@ -138,7 +137,7 @@ class TestProjection:
     def test_two_element_projection(self, table, grid, ctx):
         kb = kernel_basis(table, grid)
         g = random_localized(grid, 9)
-        gp = project_orthogonal(g, [kb.z1, kb.z2], grid, ctx)
+        gp = Projector([kb.z1, kb.z2], grid, ctx)(g)
         scale = weighted_sup_norm(g, ctx)
         assert abs(pair_inner(kb.z1, gp, grid)) <= 1e-12 * scale
         assert abs(pair_inner(kb.z2, gp, grid)) <= 1e-12 * scale
