@@ -42,14 +42,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _float_list(text) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
+def _float_list(text, flag) -> list[float]:
+    values = [float(tok) for tok in str(text).split(",") if tok != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def _checked_list(text, flag, zero_ok=False) -> list[float]:
     """Comma list (or a single number) of finite values, each positive,
     or nonnegative when zero_ok; otherwise a ValueError names the flag."""
-    values = _float_list(text)
+    values = _float_list(text, flag)
     if not all(math.isfinite(v) and (v > 0 or zero_ok and v == 0) for v in values):
         kind = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"{flag} values must be finite and {kind}")
@@ -60,7 +63,7 @@ def _checked_nodes(text, odd_increasing=False) -> list[int]:
     """--N as a comma list (or a single number; None when not given) of
     integers >= 5, odd and strictly increasing when odd_increasing;
     otherwise a ValueError names the flag."""
-    values = [] if text is None else _float_list(text)
+    values = [] if text is None else _float_list(text, "--N")
     if not all(math.isfinite(v) and v == int(v) and v >= 5 for v in values):
         raise ValueError("--N values must be integers >= 5")
     nodes = [int(v) for v in values]
@@ -190,9 +193,9 @@ def cmd_counterexample(args) -> int:
 def _sweep_plan(args) -> list[SweepPoint]:
     omegas = _checked_list(args.omega, "--omega", zero_ok=True)
     _checked_list(args.theta, "--theta")
-    _checked_nodes(args.N)
-    products = _checked_list(args.omegaR or "", "--omegaR")
-    radii = _checked_list(args.R or "", "--R")
+    _checked_nodes(args.N, odd_increasing=True)     # the counterexample bound needs odd N
+    products = [] if args.omegaR is None else _checked_list(args.omegaR, "--omegaR")
+    radii = [] if args.R is None else _checked_list(args.R, "--R")
     if products and radii:
         raise ValueError("--omegaR and --R are exclusive: give one")
     if products:

@@ -228,6 +228,12 @@ class TestConfigAndErrors:
         (["counterexample", "--R", "50", "--newton-tol", "0"], "--newton-tol"),
         (["profile", "--newton-tol", "nan"], "--newton-tol"),
         (["sweep", "--omega", "0.2", "--omegaR", "4", "--R", "99"], "--omegaR and --R"),
+        (["sweep", "--omega", "0.2", "--R", "50", "--N", "4000"], "--N"),
+        (["sweep", "--omega", ",", "--R", "10"], "--omega"),
+        (["eig", "--omega", ",", "--R", "10"], "--omega"),
+        (["eig", "--omega", "0.1", "--R", ","], "--R"),
+        (["counterexample", "--R", ","], "--R"),
+        (["solve", "--N", ","], "--N"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
             "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
@@ -236,7 +242,9 @@ class TestConfigAndErrors:
             "eig-T-inf", "eig-T-nan", "profile-T-6", "sweep-N-profile-3",
             "sweep-N-profile-even", "solve-newton-tol-nan",
             "counterexample-newton-tol-0", "profile-newton-tol-nan",
-            "sweep-omegaR-with-R"])
+            "sweep-omegaR-with-R", "sweep-N-even", "sweep-omega-empty",
+            "eig-omega-empty", "eig-R-empty", "counterexample-R-empty",
+            "solve-N-empty"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()
