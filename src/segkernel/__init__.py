@@ -1,7 +1,9 @@
 """Phase-separation profile, linearized Dirichlet solver, and
 invertibility-constant experiments."""
 
-from . import errors
+import ctypes
+
+from . import errors, lapack
 from .counterexample import (
     CounterexampleSpec,
     ResidualReport,
@@ -56,26 +58,18 @@ __version__ = "0.1.0"
 
 
 def _pin_openblas_to_one_thread():
-    """Set every OpenBLAS mapped into the process, numpy's and scipy's, to
-    one thread: a second one buys nothing on banded solves and small tile
-    products, spins a core, and makes threaded dot products round with the
-    thread count.  Does nothing where no OpenBLAS is mapped."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(None, 5) for line in fh]
-        libs = [ctypes.CDLL(path) for path in sorted(
-            {f[5].strip() for f in fields
-             if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]})]
-    except OSError:             # no /proc, or a library replaced on disk
-        return
-    for lib in libs:
-        for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
-                     "scipy_openblas_set_num_threads64_"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
-                break
+    """Set the OpenBLAS behind segkernel's LAPACK calls (numpy's, see
+    lapack.py) to one thread: a second one buys nothing on banded solves
+    and small tile products, spins a core, and makes threaded dot products
+    round with the thread count.  Does nothing where that library is not
+    an OpenBLAS."""
+    for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                 "scipy_openblas_set_num_threads64_"):
+        setter = getattr(lapack.LIBRARY, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 _pin_openblas_to_one_thread()

@@ -43,7 +43,10 @@ def _fmt(v) -> str:
 
 
 def _float_list(text, flag) -> list[float]:
-    values = [float(tok) for tok in str(text).split(",") if tok != ""]
+    try:
+        values = [float(tok) for tok in str(text).split(",") if tok != ""]
+    except ValueError:
+        raise ValueError(f"{flag} values must be numbers, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values

@@ -29,10 +29,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded, solve_banded
 
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError
+from .lapack import pbtrf, pbtrs, tbtrs
 from .norms import NormContext, Projector, cosh_weights, kernel_basis
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
@@ -139,7 +139,7 @@ def inv_constant_exact(
         c = i1 - i0
         cpl = np.zeros((c, 2))     # -U_ta
         cpl[-2:] = -np.array([[f[0, i1], 0.0], [f[1, i1], f[0, i1 + 1]]])[-c:]
-        sol = solve_banded((0, 2), f[:, i0:i1], np.hstack((np.eye(c), cpl)))
+        sol = tbtrs(f[:, i0:i1], np.hstack((np.eye(c), cpl)))
         uinv, prop = sol[:, :c], sol[:, c:]
         # the far block, entry by entry up to the first chunk past the tile
         coef = np.hstack((prop, prop @ yp[i1: i1 + 2] - yp[i0:i1]))
@@ -233,7 +233,7 @@ def _shifted_factor(op: DiscreteOperator, sigma: float):
     """Cholesky factor of L - sigma I, or None if that is not positive
     definite (by Sylvester inertia, success proves sigma < lambda_min)."""
     try:
-        return cholesky_banded(op.shifted_band(sigma), lower=False)
+        return pbtrf(op.shifted_band(sigma))
     except np.linalg.LinAlgError:
         return None
 
@@ -263,7 +263,7 @@ def smallest_eigenvalue(op: DiscreteOperator) -> float:
         shift, factor = 0.0, op.factorization()
     rho_prev = rho = None
     for it in range(EIG_MAX_ITERS):
-        y = cho_solve_banded((factor, False), v)
+        y = pbtrs(factor, v)
         ny = float(np.linalg.norm(y))
         rho = float(y @ v) / (ny * ny) + shift
         v = y / ny

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .errors import GridMismatch, SingularSystem
+from .lapack import pbtrf, pbtrs
 from .profile import ProfileTable, eval_profile
 
 PIVOT_TOL = 1e-13
@@ -134,7 +134,7 @@ class DiscreteOperator:
         """
         if self._factor is None:
             try:
-                factor = cholesky_banded(self.band, lower=False)
+                factor = pbtrf(self.band)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystem(f"factorization failed: {exc}") from exc
             pivots = factor[2] ** 2
@@ -148,7 +148,7 @@ class DiscreteOperator:
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for interleaved interior unknowns; rhs may be a matrix."""
-        return cho_solve_banded((self.factorization(), False), rhs)
+        return pbtrs(self.factorization(), rhs)
 
     def solve(self, g: PairGridFunction) -> PairGridFunction:
         """Solve L u = g with homogeneous Dirichlet endpoints."""

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     DegenerateFit,
@@ -30,6 +29,7 @@ from .errors import (
     NonConvergence,
     WindowTooContaminated,
 )
+from .lapack import gbsv
 
 DEFAULT_T = 12.0
 DEFAULT_N = 4801
@@ -158,7 +158,7 @@ def _newton_half_line(x, max_iters=80, max_halvings=30):
     stalls = 0
     for _ in range(max_iters):
         ab = _half_line_jacobian_banded(v1, v2, h)
-        step = solve_banded((4, 2), ab, -res)
+        step = gbsv(4, 2, ab, -res)
         t = 1.0
         for _ in range(max_halvings):
             v1_new = v1 + t * step[0::2]

@@ -234,6 +234,10 @@ class TestConfigAndErrors:
         (["eig", "--omega", "0.1", "--R", ","], "--R"),
         (["counterexample", "--R", ","], "--R"),
         (["solve", "--N", ","], "--N"),
+        (["sweep", "--omega", "abc", "--R", "10"], "--omega"),
+        (["eig", "--omega", "0.1", "--R", "x"], "--R"),
+        (["counterexample", "--R", "5x"], "--R"),
+        (["solve", "--N", "801,abc"], "--N"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
             "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
@@ -244,7 +248,8 @@ class TestConfigAndErrors:
             "counterexample-newton-tol-0", "profile-newton-tol-nan",
             "sweep-omegaR-with-R", "sweep-N-even", "sweep-omega-empty",
             "eig-omega-empty", "eig-R-empty", "counterexample-R-empty",
-            "solve-N-empty"])
+            "solve-N-empty", "sweep-omega-text", "eig-R-text",
+            "counterexample-R-text", "solve-N-text"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()

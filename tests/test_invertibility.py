@@ -3,10 +3,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_solve_banded
 
 from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
+from segkernel.lapack import pbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
@@ -257,9 +257,9 @@ class TestEigenvalue:
 
         def counting_solve(*args, **kwargs):
             calls.append(1)
-            return cho_solve_banded(*args, **kwargs)
+            return pbtrs(*args, **kwargs)
 
-        monkeypatch.setattr(invertibility, "cho_solve_banded", counting_solve)
+        monkeypatch.setattr(invertibility, "pbtrs", counting_solve)
         smallest_eigenvalue(op)
         assert len(calls) <= 10
 
