@@ -86,17 +86,12 @@ def _checked_profile(args):
 
 
 def _config_lines(cfg: dict) -> list[str]:
-    lines = [CSV_HEADER]
-    for key in sorted(cfg):
-        lines.append(f"# {key}={_fmt(cfg[key])}")
-    return lines
+    return [CSV_HEADER] + [f"# {key}={_fmt(cfg[key])}" for key in sorted(cfg)]
 
 
 def _write_csv(path, cfg: dict, header: list[str], rows: list[list]):
-    lines = _config_lines(cfg)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = _config_lines(cfg) + [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -141,18 +136,14 @@ def cmd_solve(args) -> int:
         "command": "solve", "theta": args.theta, "omega": args.omega,
         "R": args.R, "N": ",".join(str(n) for n in n_list),
     }
-    rows = []
-    code = EXIT_OK
     try:
         report = convergence_report(table, args.omega, args.R, n_list)
     except SegkernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for entry in report:
-        rows.append([entry["N"], entry["error"],
-                     "" if entry["order"] is None else entry["order"]])
+    rows = [[e["N"], e["error"], "" if e["order"] is None else e["order"]] for e in report]
     _write_csv(args.out, cfg, ["N", "error", "order"], rows)
-    return code
+    return EXIT_OK
 
 
 def cmd_counterexample(args) -> int:

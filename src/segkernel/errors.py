@@ -5,10 +5,6 @@ class SegkernelError(Exception):
     """Base class for all package-specific failures."""
 
 
-class NonConvergence(SegkernelError):
-    """Newton iteration failed to reach the requested residual."""
-
-
 class MonotonicityViolation(SegkernelError):
     """Computed profile has a non-increasing node; spurious branch."""
 
@@ -38,9 +34,11 @@ class ResolutionInsufficient(SegkernelError):
 
 
 class NoConvergence(SegkernelError):
-    """Eigenvalue iteration hit the iteration cap or failed its certificate.
+    """An iteration failed: the profile Newton solve missed its residual
+    tolerance, or the eigenvalue iteration hit its cap or failed its
+    certificate.
 
-    Carries the last Rayleigh quotient in ``last_value``.
+    Carries the last Rayleigh quotient in ``last_value`` (None for Newton).
     """
 
     def __init__(self, message, last_value=None):

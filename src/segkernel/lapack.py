@@ -9,10 +9,12 @@ On the numpy wheels that is scipy-openblas with 64-bit integers and names
 such as `scipy_dpbtrf_64_`.
 
 Every routine copies its right-hand side and returns a new array.  A
-non-finite input raises ValueError, a band that is not positive definite
-or a singular matrix raises numpy.linalg.LinAlgError, and an argument
-LAPACK rejects raises ValueError.  Band storage follows LAPACK: entry
-(i, j) of the matrix sits at row ku + i - j of column j.
+non-finite input raises ValueError (pbtrs checks only its right-hand
+side: a factor pbtrf made from a finite band is finite), a band that is
+not positive definite or a singular matrix raises
+numpy.linalg.LinAlgError, and an argument LAPACK rejects raises
+ValueError.  Band storage follows LAPACK: entry (i, j) of the matrix
+sits at row ku + i - j of column j.
 """
 
 from __future__ import annotations
@@ -77,19 +79,18 @@ def _band(band, rows=None, copy=False) -> np.ndarray:
     return ab
 
 
-def _finite(*arrays: np.ndarray):
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+def _finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _rhs(ab: np.ndarray, b) -> tuple[np.ndarray, int]:
-    """A Fortran-order copy of b, checked against the band, and its
-    column count."""
+    """A finite Fortran-order copy of b, checked against the band, and
+    its column count."""
     x = np.array(b, dtype=np.float64, order="F")
     if x.ndim not in (1, 2) or x.shape[0] != ab.shape[1]:
         raise ValueError(f"shapes of the band {ab.shape} and b {x.shape} are not compatible")
-    _finite(ab, x)
+    _finite(x)
     return x, 1 if x.ndim == 1 else x.shape[1]
 
 
@@ -117,6 +118,7 @@ def gbsv(kl: int, ku: int, band, b) -> np.ndarray:
     superdiagonals in kl + ku + 1 rows, by LU with row pivoting."""
     a = _band(band, rows=kl + ku + 1)
     x, nrhs = _rhs(a, b)
+    _finite(a)
     n = a.shape[1]
     ab = np.zeros((2 * kl + ku + 1, n), order="F")    # kl more rows for the fill-in
     ab[kl:] = a
@@ -130,6 +132,7 @@ def tbtrs(band, b) -> np.ndarray:
     row, by back substitution."""
     ab = _band(band)
     x, nrhs = _rhs(ab, b)
+    _finite(ab)
     n = ab.shape[1]
     _dtbtrs(b"U", b"N", b"N", n, ab.shape[0] - 1, nrhs, ab, ab.shape[0], x, max(1, n))
     return x

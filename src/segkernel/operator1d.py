@@ -214,12 +214,7 @@ def mms_solve_error(op: DiscreteOperator) -> float:
     g.comp1[1:-1] = -phi1_xx[1:-1] + op.pot1 * phi1[1:-1] + op.coup * phi2[1:-1]
     g.comp2[1:-1] = -phi2_xx[1:-1] + op.pot2 * phi2[1:-1] + op.coup * phi1[1:-1]
     sol = op.solve(g)
-    return float(
-        max(
-            np.max(np.abs(sol.comp1 - phi1)),
-            np.max(np.abs(sol.comp2 - phi2)),
-        )
-    )
+    return float(max(np.max(np.abs(sol.comp1 - phi1)), np.max(np.abs(sol.comp2 - phi2))))
 
 
 def convergence_report(p: ProfileTable, omega: float, R: float, n_list):

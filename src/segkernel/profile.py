@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (
     DegenerateFit,
     MonotonicityViolation,
-    NonConvergence,
+    NoConvergence,
     WindowTooContaminated,
 )
 from .lapack import gbsv
@@ -374,7 +374,7 @@ def solve_profile(
 
     res = discrete_residual(table)
     if res > newton_tol:
-        raise NonConvergence(
+        raise NoConvergence(
             f"full-table residual {res:.3e} exceeds newton_tol {newton_tol:.3e}"
         )
     return table

@@ -3,14 +3,15 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import LinAlgError
 
 from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
-from segkernel.lapack import pbtrs
+from segkernel.lapack import pbtrf, pbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
-    _shifted_factor,
+    _perron_lower_bound,
     inv_constant_estimate,
     inv_constant_exact,
     run_sweep,
@@ -44,6 +45,19 @@ def dense_k(table, op, ctx, elements=None):
     dense = dense_matrix(table, op.omega, op.grid)
     mat = np.linalg.inv(dense) @ p_mat @ np.diag(_interior_weights(op, ctx))
     return float(np.max(np.sum(np.abs(mat), axis=1)))
+
+
+def eigenvalue_and_bound(op):
+    """smallest_eigenvalue(op) and the lower bound that certified it."""
+    bounds = []
+
+    def capture(op, v):
+        bounds.append(_perron_lower_bound(op, v))
+        return bounds[-1]
+
+    with mock.patch.object(invertibility, "_perron_lower_bound", capture):
+        rho = smallest_eigenvalue(op)
+    return rho, bounds[0]
 
 
 class TestExactNorm:
@@ -249,6 +263,48 @@ class TestEigenvalue:
         lam = smallest_eigenvalue(assemble(table, omega, grid))
         assert abs(lam - lam_dense) / abs(lam_dense) <= 1e-8
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        n=st.integers(41, 241),
+        r_val=st.floats(5.0, 15.0),
+        omega=st.floats(0.0, 0.5),
+    )
+    def test_bound_brackets_dense_property(self, table, n, r_val, omega):
+        # eigvalsh is off by up to ~eps ||L|| (3.4e-12 relative at R = 6,
+        # N = 67), so the reference is the extended-precision Rayleigh
+        # quotient of eigh's eigenvector: lambda_min to round-off, from above
+        grid = Grid(r_val, n)
+        dense = dense_matrix(table, omega, grid)
+        x = np.linalg.eigh(dense)[1][:, 0].astype(np.longdouble)
+        lam_ref = float(x @ (dense.astype(np.longdouble) @ x) / (x @ x))
+        rho, low = eigenvalue_and_bound(assemble(table, omega, grid))
+        assert 0.0 < low <= lam_ref <= rho * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("r_val, n, width", [(800.0, 64001, 1e-5),
+                                                 (1600.0, 128001, 1e-4)])
+    def test_bracket_width(self, table, r_val, n, width):
+        # delta / rho, the slack the check allows, is 8.7e-3 and 0.14
+        # here; the bracket measures 1.7e-6 and 6.7e-6
+        rho, low = eigenvalue_and_bound(assemble(table, 0.0, Grid(r_val, n)))
+        assert 0.0 < low <= rho and (rho - low) / rho <= width
+
+    def test_no_certificate_factorization(self, table, monkeypatch):
+        # pbtrf runs only for the omega^2 shift, never for the certificate
+        calls = []
+
+        def counting_pbtrf(band):
+            calls.append(1)
+            return pbtrf(band)
+
+        monkeypatch.setattr(invertibility, "pbtrf", counting_pbtrf)
+        grid = Grid(40.0, 3201)
+        op = assemble(table, 0.0, grid)
+        op.factorization()
+        smallest_eigenvalue(op)
+        assert len(calls) == 0
+        smallest_eigenvalue(assemble(table, 0.3, grid))
+        assert len(calls) == 1
+
     def test_sign_vector_start_converges_fast(self, table, monkeypatch):
         # the lambda_min eigenvector is diag(s) p with p > 0, so the start
         # s / sqrt(m) needs few iterations (a random start took 16 here)
@@ -281,7 +337,8 @@ class TestEigenvalue:
         lam0 = smallest_eigenvalue(op0)
         c = omega * omega - 1.5 * lam0
         op = DiscreteOperator(grid, omega, op0.pot1 + c, op0.pot2 + c, op0.coup)
-        assert _shifted_factor(op, omega * omega) is None
+        with pytest.raises(LinAlgError):
+            pbtrf(op.shifted_band(omega * omega))
         dense = dense_matrix(table, 0.0, grid) + c * np.eye(op.n_unknowns)
         lam_dense = np.linalg.eigvalsh(dense)[0]
         lam = smallest_eigenvalue(op)
@@ -291,8 +348,7 @@ class TestEigenvalue:
         point = SweepPoint(theta=0.5, omega=0.0, R=10.0, N=201)
         op = assemble(table, point.omega, Grid(point.R, point.N))
         lam = smallest_eigenvalue(op)
-        # at omega = 0 the helper is called only for the certificate
-        monkeypatch.setattr(invertibility, "_shifted_factor", lambda op, sigma: None)
+        monkeypatch.setattr(invertibility, "_perron_lower_bound", lambda op, v: 0.0)
         with pytest.raises(NoConvergence, match="certificate") as info:
             smallest_eigenvalue(op)
         assert info.value.last_value == lam

@@ -6,7 +6,7 @@ import pytest
 
 from segkernel.errors import (
     DegenerateFit,
-    NonConvergence,
+    NoConvergence,
     WindowTooContaminated,
 )
 from segkernel.profile import (
@@ -86,7 +86,7 @@ class TestSolve:
         assert 3.5 <= ratio <= 4.5
 
     def test_unreachable_tolerance_raises(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NoConvergence):
             solve_profile(T=12.0, N=1201, newton_tol=1e-15)
 
     def test_input_validation(self):
