@@ -1,10 +1,11 @@
 """The four banded LAPACK routines segkernel calls, bound with ctypes.
 
 `pbtrf` and `pbtrs` give the operator's Cholesky factor and its solves,
-`gbsv` the profile's Newton step and `tbtrs` the upper-triangular tile
-solves of constrained K.  The symbols come from the LAPACK that numpy has
-already loaded: opening numpy's linalg extension with ctypes resolves them
-through that module's own dependency, so no second LAPACK is imported.
+`gbsv` the profile's Newton step and `tbtrs` the one back substitution
+of constrained K, which gives the diagonal blocks of the inverse for all
+nodes.  The symbols come from the LAPACK that numpy has already loaded:
+opening numpy's linalg extension with ctypes resolves them through that
+module's own dependency, so no second LAPACK is imported.
 On the numpy wheels that is scipy-openblas with 64-bit integers and names
 such as `scipy_dpbtrf_64_`.
 

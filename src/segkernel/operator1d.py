@@ -159,22 +159,24 @@ class DiscreteOperator:
     def apply(self, u: PairGridFunction) -> PairGridFunction:
         """Apply the discrete operator; endpoints of the output are 0.
 
-        Endpoint values of u act as boundary data.  Second differences
-        are taken as differences of first differences, which keeps the
-        evaluation reliable for near-kernel inputs.
+        Endpoint values of u act as boundary data.
         """
         if u.grid != self.grid:
             raise GridMismatch("operand lives on a different grid")
-        h2 = self.grid.h ** 2
         out = PairGridFunction.zeros(self.grid)
-        for comp, other, pot, dst in (
-            (u.comp1, u.comp2, self.pot1, out.comp1),
-            (u.comp2, u.comp1, self.pot2, out.comp2),
-        ):
-            d = np.diff(comp)
-            dst[1:-1] = -(d[1:] - d[:-1]) / h2 + pot * comp[1:-1] \
-                + self.coup * other[1:-1]
+        self._stencil(u.comp1, u.comp2, out.comp1[1:-1], out.comp2[1:-1])
         return out
+
+    def _stencil(self, u1: np.ndarray, u2: np.ndarray, out1: np.ndarray, out2: np.ndarray):
+        """Write the interior values of both components of L u into out1
+        and out2, from components u1 and u2 given at all N nodes,
+        endpoints included.  Second differences are taken as differences
+        of first differences, which keeps the evaluation reliable for
+        near-kernel inputs."""
+        h2 = self.grid.h ** 2
+        for comp, other, pot, dst in ((u1, u2, self.pot1, out1), (u2, u1, self.pot2, out2)):
+            d = np.diff(comp)
+            dst[...] = -(d[1:] - d[:-1]) / h2 + pot * comp[1:-1] + self.coup * other[1:-1]
 
 
 def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:

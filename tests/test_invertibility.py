@@ -7,10 +7,11 @@ from numpy.linalg import LinAlgError
 
 from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence
-from segkernel.lapack import pbtrf, pbtrs
+from segkernel.lapack import pbtrf, pbtrs, tbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
+    _node_blocks,
     _perron_lower_bound,
     inv_constant_estimate,
     inv_constant_exact,
@@ -112,6 +113,46 @@ class TestExactNorm:
                         case = (omega, k, rows, width)
                         assert shapes == [(m, k)], case     # the carriers only
                         assert abs(got - k_dense) / k_dense <= 1e-10, case
+
+    @pytest.mark.parametrize("n", [201, 200])
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_node_blocks_match_dense_inverse(self, table, omega, n):
+        # T = L^-1: T_qq is the diagonal block of node q (unknowns 2q, 2q+1)
+        # and T[q, j] = P_q T[q+1, j] for every column j past node q
+        grid = Grid(10.0, n)
+        op = assemble(table, omega, grid)
+        inv = np.linalg.inv(dense_matrix(table, omega, grid))
+        p, t = _node_blocks(op.factorization())
+        nodes = op.n_unknowns // 2
+        blocks = inv.reshape(nodes, 2, nodes, 2)[np.arange(nodes), :, np.arange(nodes)]
+        scale = np.max(np.abs(inv))
+        assert np.max(np.abs(t - blocks)) <= 1e-12 * scale
+        assert not p[-1].any()
+        for q in range(nodes - 1):
+            past = inv[2 * q: 2 * q + 2, 2 * q + 2:]
+            assert np.max(np.abs(p[q] @ inv[2 * q + 2: 2 * q + 4, 2 * q + 2:] - past)) \
+                <= 1e-12 * scale, q
+
+    def test_one_triangular_solve(self, table, monkeypatch):
+        # the node blocks take one back substitution; the tiles, whatever
+        # their height, add no triangular solve
+        grid = Grid(10.0, 201)
+        op = assemble(table, 0.0, grid)
+        m = op.n_unknowns
+        ctx = NormContext(0.5)
+        elements = [kernel_basis(table, grid).z1]
+        calls = []
+
+        def counting_tbtrs(band, b):
+            calls.append(np.shape(band))
+            return tbtrs(band, b)
+
+        monkeypatch.setattr(invertibility, "tbtrs", counting_tbtrs)
+        for rows in (1, 2, 3, 41, 128, m, m + 1):
+            monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
+            calls.clear()
+            inv_constant_exact(op, ctx, orth_elements=elements)
+            assert calls == [(6, 3 * m // 2)], rows
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
