@@ -36,14 +36,16 @@ class CounterexampleSpec:
     N: int = field(default=0)
 
     def __post_init__(self):
-        if self.R <= math.e:
-            raise ValueError("R must exceed e so that ln R > 1")
+        if not (math.isfinite(self.R) and self.R > math.e):
+            raise ValueError("R must be finite and exceed e so that ln R > 1")
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.theta)
         if self.omega is None:
             object.__setattr__(self, "omega", self.R ** (-self.alpha))
+        if not math.isfinite(self.omega):
+            raise ValueError("omega (or alpha) must be finite")
         if self.omega * self.R < 1.0:
             raise ValueError("need omega * R >= 1")
         if self.N == 0:

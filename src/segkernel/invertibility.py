@@ -12,8 +12,8 @@ max(s * solve(s * w)), one banded solve.  Under orthogonality
 constraints, imposed by norms.Projector on the interleaved unknowns, K
 is summed over the upper triangle of L^-1 composed with the projector,
 from the cached Cholesky factor, in tiles of rows and three steps: the
-diagonal blocks of L^-1 for all nodes at once (Takahashi selected
-inversion as one banded back substitution); the triangle inside every
+diagonal and first off-diagonal of L^-1 (Takahashi selected inversion
+in scalar rows, one banded back substitution); the triangle inside every
 tile, by one recurrence vectorised across the tiles; and a sweep up the
 tiles that sums the columns past each tile in chunks whose sign is
 certified by interval bounds.  The reflection symmetry supplies the
@@ -23,7 +23,8 @@ estimate (up to round-off).  The smallest eigenvalue comes from inverse
 iteration on L - omega^2 I = L(0), started from s / sqrt(m) (by
 Perron-Frobenius its eigenvector is diag(s) p with p > 0); the
 Collatz-Wielandt bound of the Z-matrix diag(s) L diag(s) on the final
-iterate, with its rounding bounded, certifies it from below.
+iterate, read off the band with its rounding bounded, certifies it
+from below.
 """
 
 from __future__ import annotations
@@ -55,40 +56,6 @@ def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
     return np.repeat(cosh_weights(op.grid.interior, ctx.theta), 2)
 
 
-def _node_blocks(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Propagators P_q and diagonal blocks T_qq of T = L^-1 for every node
-    q (the unknowns 2q and 2q+1), from the factor U of L = U^T U in upper
-    band storage; both are (n, 2, 2), P zero at the last node.
-
-    (U T)_ij = 0 for j > i gives T[q, j] = P_q T[q+1, j] for the columns
-    j past node q, P_q = -U_qq^-1 U_{q,q+1}, and the Schur form
-    T_qq = U_qq^-1 U_qq^-T + P_q T_{q+1,q+1} P_q^T (Takahashi, Fagan & Chin
-    1973).  That recurrence is linear in the three entries of each T_qq:
-    one upper-triangular band of 3n unknowns, bandwidth 5 and unit
-    diagonal, solved by one back substitution.
-    """
-    n = factor.shape[1] // 2
-    u00, u01, u11 = factor[2, 0::2], factor[1, 1::2], factor[2, 1::2]
-    p = np.zeros((n, 2, 2))
-    p[:-1, 1, 0] = -factor[1, 2::2] / u11[:-1]
-    p[:-1, 1, 1] = -factor[0, 3::2] / u11[:-1]
-    p[:-1, 0, 0] = -(factor[0, 2::2] + u01[:-1] * p[:-1, 1, 0]) / u00[:-1]
-    p[:-1, 0, 1] = -u01[:-1] * p[:-1, 1, 1] / u00[:-1]
-    # entry (r, r2) of the map from (T00, T01, T11) of T_{q+1,q+1} to those
-    # of P_q T_{q+1,q+1} P_q^T sits at offset 3 + r2 - r
-    a, b, c, d = p[:-1, 0, 0], p[:-1, 0, 1], p[:-1, 1, 0], p[:-1, 1, 1]
-    band = np.zeros((6, 3 * n), order="F")
-    band[5] = 1.0
-    for r, row in enumerate(((a * a, 2.0 * a * b, b * b), (a * c, a * d + b * c, b * d),
-                             (c * c, 2.0 * c * d, d * d))):
-        for r2, entry in enumerate(row):
-            band[2 + r - r2, 3 + r2::3] = -entry
-    v01 = -u01 / (u00 * u11)            # U_qq^-1 = [[1/u00, v01], [0, 1/u11]]
-    schur = np.column_stack((1.0 / u00 ** 2 + v01 ** 2, v01 / u11, 1.0 / u11 ** 2))
-    t = tbtrs(band, schur.ravel()).reshape(n, 3)
-    return p, t[:, [0, 1, 1, 2]].reshape(n, 2, 2)
-
-
 def _near_triangles(factor, y, g, weights, c):
     """Each tile's local part of M = (T - y g^T) diag(w), for all tiles at
     once; y is padded with two zero rows.  Tiles of c rows run up from
@@ -102,24 +69,36 @@ def _near_triangles(factor, y, g, weights, c):
     With alpha_i = -U_{i,i+1} / U_ii and beta_i = -U_{i,i+2} / U_ii (zero
     past the last row), (U T)_ij = 0 for j > i gives
     T[i, j] = alpha_i T[i+1, j] + beta_i T[i+2, j], and P follows the same
-    recurrence from the unit anchor.  It runs up each tile on a two-row
-    state, one numpy step per row for all tiles, with the diagonal and
-    first off-diagonal of T from _node_blocks; so tile edges may cut
-    nodes.  The padding rows of the top tile, computed last, are
-    clamped to row 0 and their results unused.
+    recurrence from the unit anchor.  At j = i, where (U T)_ii = 1 / U_ii,
+    and j = i + 1 it gives a_i = T_ii and b_i = T_{i,i+1} (Takahashi,
+    Fagan & Chin 1973):
+        a_i = alpha_i^2 a_{i+1} + 2 alpha_i beta_i b_{i+1} + beta_i^2 a_{i+2}
+              + 1 / U_ii^2,
+        b_i = alpha_i a_{i+1} + beta_i b_{i+1},
+    one unit upper-triangular band of 2m unknowns and bandwidth 4, solved
+    by one back substitution.  From those two diagonals the recurrence
+    runs up each tile on a two-row state, one numpy step per row for all
+    tiles.  The padding rows of the top tile, computed last, are clamped
+    to row 0 and their results unused.
     """
     m, k = len(weights), g.shape[0]
     n_tiles = -(-m // c)
     pad = n_tiles * c - m
-    p, tqq = _node_blocks(factor)
-    d0 = tqq[:, [0, 1], [0, 1]].ravel()            # T_ii
-    d1 = np.zeros(m)                               # T_i,i+1
-    d1[0::2] = tqq[:, 0, 1]
-    d1[1:-1:2] = (p[:-1] @ tqq[1:])[:, 1, 0]
-    del p, tqq          # freed before the tile arrays, which set the peak memory
     alpha, beta = np.zeros(m), np.zeros(m)
     alpha[:-1] = -factor[1, 1:] / factor[2, :-1]
     beta[:-2] = -factor[0, 2:] / factor[2, :-2]
+    # (a_i, b_i) interleaved: unknowns 2i and 2i+1
+    band = np.zeros((5, 2 * m), order="F")
+    band[4] = 1.0
+    band[3, 2::2] = -alpha[:-1]
+    band[2, 2::2], band[2, 3::2] = -alpha[:-1] ** 2, -beta[:-1]
+    band[1, 3::2] = -2.0 * alpha[:-1] * beta[:-1]
+    band[0, 4::2] = -beta[:-2] ** 2
+    rhs = np.zeros(2 * m)
+    rhs[0::2] = 1.0 / factor[2] ** 2
+    t = tbtrs(band, rhs)
+    del band, rhs       # freed before the tile arrays, which set the peak memory
+    d0, d1 = t[0::2], t[1::2]
     first = np.arange(n_tiles) * c - pad           # each tile's first (padded) row
 
     def tiled(x):           # (..., tile, column), the padding clamped to column 0
@@ -171,12 +150,11 @@ def inv_constant_exact(
     from the bottom up, the two rows a below a tile its anchor, and the
     work is split in three:
 
-    1. _node_blocks: the 2x2 diagonal blocks of T for all nodes, from the
-       Schur form T_qq = U_qq^-1 U_qq^-T + P_q T_{q+1,q+1} P_q^T
-       (Takahashi, Fagan & Chin 1973), one banded back substitution;
-       they give the diagonal and first off-diagonal of T.
-    2. _near_triangles: the row recurrence up every tile at once, from
-       that band, gives the tile's triangle j >= i of M, hence its row
+    1. _near_triangles: the diagonal and first off-diagonal of T, from
+       the same relation at j = i and j = i + 1 (Takahashi, Fagan & Chin
+       1973), one banded back substitution in scalar rows.
+    2. _near_triangles: from those, the row recurrence up every tile at
+       once gives the tile's triangle j >= i of M, hence its row
        sums and |M_ii|; the propagator P = -U_tt^-1 U_ta of each row, so
        that T[t, j] = P T[a, j] past the tile and (for M unweighted)
        M[t, j] = coef @ [M[a, j]; g_j], coef = [P, P y_a - y_t]; and the
@@ -199,7 +177,7 @@ def inv_constant_exact(
     m = op.n_unknowns
     weights = _interior_weights(op, ctx)
     if not orth_elements:
-        if np.any(op.coup < 0):
+        if np.any(op.band[1] < 0):
             raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
         s = np.tile([1.0, -1.0], m // 2)
         return float(np.max(s * op.solve_interior(s * weights)))
@@ -333,25 +311,28 @@ def inv_constant_estimate(
 def _perron_lower_bound(op: DiscreteOperator, v: np.ndarray) -> float:
     """Rigorous lower bound on lambda_min of L from any vector v.
 
-    D L D, D = diag(s), is a Z-matrix, so for x = |v| > 0 (floored at
-    tiny) lambda_min >= min_i (D L D x)_i / x_i (Collatz-Wielandt; Varga,
-    Matrix Iterative Analysis, ch. 2).  The stencil rounds each term at most
-    five times, so row i is off by at most gamma_5 times its absolute term
-    sum, which is <= 2 d_i x_i - (D L D x)_i with d_i = 2/h^2 + |pot_i|
-    as the off-diagonal terms are <= 0 (Higham, Accuracy and Stability,
-    sec. 3.1); gamma_6 of its computed value covers that, 4 smallest
-    subnormals the underflow.
+    The off-diagonals of D L D, D = diag(s), are the band's -1/h^2 (row 0)
+    and minus its couplings (row 1), so it is a Z-matrix when
+    band[1] >= 0.  Then for x = |v| > 0 (floored at tiny) lambda_min >=
+    min_i (D L D x)_i / x_i (Collatz-Wielandt; Varga, Matrix Iterative
+    Analysis, ch. 2), with (D L D x)_i = L_ii x_i - sum_{j != i} |L_ij| x_j
+    read off the band in four shifted slices.  Each row is a sum of five
+    products, rounded at most five times, so it is off by at most gamma_5
+    times its absolute term sum, 2 d_i x_i - (D L D x)_i with d = band[2]
+    (Higham, Accuracy and Stability, sec. 3.1); gamma_6 of its computed
+    value covers that, 4 smallest subnormals the underflow.
     """
-    if np.any(op.coup < 0):     # D L D is not a Z-matrix
+    band = op.band
+    if np.any(band[1] < 0):     # D L D is not a Z-matrix
         return -math.inf
     fp = np.finfo(float)
     x = np.maximum(np.abs(v), fp.tiny)
-    dx = np.zeros((2, op.grid.N))          # D x by component, zero endpoints
-    dx[0, 1:-1], dx[1, 1:-1] = x[0::2], -x[1::2]
-    dldx = np.empty(op.n_unknowns)
-    op._stencil(dx[0], dx[1], dldx[0::2], dldx[1::2])
-    dldx[1::2] *= -1.0
-    d = 2.0 / op.grid.h ** 2 + np.abs(np.column_stack((op.pot1, op.pot2)).ravel())
+    d = band[2]
+    dldx = d * x
+    dldx[1:] -= band[1, 1:] * x[:-1]
+    dldx[:-1] -= band[1, 1:] * x[1:]
+    dldx[2:] += band[0, 2:] * x[:-2]
+    dldx[:-2] += band[0, 2:] * x[2:]
     gamma6 = 3.0 * fp.eps / (1.0 - 3.0 * fp.eps)
     err = gamma6 * (2.0 * d * x - dldx) + 4.0 * fp.smallest_subnormal
     low = float(np.min((dldx - err) / x))

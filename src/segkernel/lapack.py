@@ -2,8 +2,8 @@
 
 `pbtrf` and `pbtrs` give the operator's Cholesky factor and its solves,
 `gbsv` the profile's Newton step and `tbtrs` the one back substitution
-of constrained K, which gives the diagonal blocks of the inverse for all
-nodes.  The symbols come from the LAPACK that numpy has already loaded:
+of constrained K, which gives the diagonal and first off-diagonal of the
+inverse.  The symbols come from the LAPACK that numpy has already loaded:
 opening numpy's linalg extension with ctypes resolves them through that
 module's own dependency, so no second LAPACK is imported.
 On the numpy wheels that is scipy-openblas with 64-bit integers and names

@@ -27,8 +27,8 @@ class NormContext:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (np.isfinite(self.theta) and self.theta > 0):
+            raise ValueError("theta must be finite and positive")
 
 
 def log_cosh(y):

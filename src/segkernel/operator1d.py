@@ -39,8 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.N < 5:
             raise ValueError("need at least 5 nodes")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not (np.isfinite(self.R) and self.R > 0):
+            raise ValueError("R must be finite and positive")
 
     @property
     def h(self) -> float:
@@ -159,31 +159,26 @@ class DiscreteOperator:
     def apply(self, u: PairGridFunction) -> PairGridFunction:
         """Apply the discrete operator; endpoints of the output are 0.
 
-        Endpoint values of u act as boundary data.
+        Endpoint values of u act as boundary data.  Second differences
+        are taken as differences of first differences, which keeps the
+        evaluation reliable for near-kernel inputs.
         """
         if u.grid != self.grid:
             raise GridMismatch("operand lives on a different grid")
         out = PairGridFunction.zeros(self.grid)
-        self._stencil(u.comp1, u.comp2, out.comp1[1:-1], out.comp2[1:-1])
-        return out
-
-    def _stencil(self, u1: np.ndarray, u2: np.ndarray, out1: np.ndarray, out2: np.ndarray):
-        """Write the interior values of both components of L u into out1
-        and out2, from components u1 and u2 given at all N nodes,
-        endpoints included.  Second differences are taken as differences
-        of first differences, which keeps the evaluation reliable for
-        near-kernel inputs."""
         h2 = self.grid.h ** 2
-        for comp, other, pot, dst in ((u1, u2, self.pot1, out1), (u2, u1, self.pot2, out2)):
+        for comp, other, pot, dst in ((u.comp1, u.comp2, self.pot1, out.comp1),
+                                      (u.comp2, u.comp1, self.pot2, out.comp2)):
             d = np.diff(comp)
-            dst[...] = -(d[1:] - d[:-1]) / h2 + pot * comp[1:-1] + self.coup * other[1:-1]
+            dst[1:-1] = -(d[1:] - d[:-1]) / h2 + pot * comp[1:-1] + self.coup * other[1:-1]
+        return out
 
 
 def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
     """Assemble the operator; potentials come from the profile table
     (tail extension supplies them for R beyond the table)."""
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
+    if not (np.isfinite(omega) and omega >= 0):
+        raise ValueError("omega must be finite and nonnegative")
     v1, _, v2, _ = eval_profile(p, grid.interior)
     w2 = omega * omega
     return DiscreteOperator(grid, omega, v2 * v2 + w2, v1 * v1 + w2, 2.0 * v1 * v2)

@@ -522,6 +522,9 @@ def load_profile(path) -> ProfileTable:
         data = np.loadtxt(fh)
     if data.shape != (n, 5):
         raise ValueError(f"expected {n} rows of 5 columns, got {data.shape}")
+    # c_fit is legitimately inf; a NaN anywhere else would pass the A check below
+    if not (np.isfinite(data).all() and np.isfinite([T, tol, a_hdr, b_hdr]).all()):
+        raise ValueError("cache file holds a non-finite value")
     table = ProfileTable(
         half_length=T,
         nodes=data[:, 0],

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
 from segkernel import invertibility
-from segkernel.errors import BudgetExceeded, NoConvergence
+from segkernel.errors import BudgetExceeded, NoConvergence, SegkernelError
 from segkernel.lapack import pbtrf, pbtrs, tbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
-    _node_blocks,
+    _near_triangles,
     _perron_lower_bound,
     inv_constant_estimate,
     inv_constant_exact,
@@ -116,26 +116,23 @@ class TestExactNorm:
 
     @pytest.mark.parametrize("n", [201, 200])
     @pytest.mark.parametrize("omega", [0.0, 0.5])
-    def test_node_blocks_match_dense_inverse(self, table, omega, n):
-        # T = L^-1: T_qq is the diagonal block of node q (unknowns 2q, 2q+1)
-        # and T[q, j] = P_q T[q+1, j] for every column j past node q
+    def test_inverse_diagonals_match_dense_inverse(self, table, omega, n):
+        # T = L^-1: with y = 0, unit weights and one-row tiles, tile i's
+        # anchor is rows i and i+1 of T at column i, so T_ii and T_i,i+1
         grid = Grid(10.0, n)
         op = assemble(table, omega, grid)
+        m = op.n_unknowns
         inv = np.linalg.inv(dense_matrix(table, omega, grid))
-        p, t = _node_blocks(op.factorization())
-        nodes = op.n_unknowns // 2
-        blocks = inv.reshape(nodes, 2, nodes, 2)[np.arange(nodes), :, np.arange(nodes)]
+        _, diag, _, anchor = _near_triangles(op.factorization(), np.zeros((m + 2, 1)),
+                                             np.zeros((1, m)), np.ones(m), 1)
         scale = np.max(np.abs(inv))
-        assert np.max(np.abs(t - blocks)) <= 1e-12 * scale
-        assert not p[-1].any()
-        for q in range(nodes - 1):
-            past = inv[2 * q: 2 * q + 2, 2 * q + 2:]
-            assert np.max(np.abs(p[q] @ inv[2 * q + 2: 2 * q + 4, 2 * q + 2:] - past)) \
-                <= 1e-12 * scale, q
+        assert np.max(np.abs(anchor[:, 0, 0] - np.diag(inv))) <= 1e-12 * scale
+        assert np.max(np.abs(anchor[:-1, 1, 0] - np.diag(inv, 1))) <= 1e-12 * scale
+        assert anchor[-1, 1, 0] == 0.0 and np.array_equal(diag, anchor[:, 0, 0])
 
     def test_one_triangular_solve(self, table, monkeypatch):
-        # the node blocks take one back substitution; the tiles, whatever
-        # their height, add no triangular solve
+        # the diagonal and first off-diagonal of L^-1 take one back
+        # substitution; the tiles, whatever their height, add no other
         grid = Grid(10.0, 201)
         op = assemble(table, 0.0, grid)
         m = op.n_unknowns
@@ -152,7 +149,7 @@ class TestExactNorm:
             monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
             calls.clear()
             inv_constant_exact(op, ctx, orth_elements=elements)
-            assert calls == [(6, 3 * m // 2)], rows
+            assert calls == [(5, 2 * m)], rows
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
@@ -281,6 +278,19 @@ class TestEstimate:
         exact = inv_constant_exact(op, ctx)
         for seed in (0, 42):
             assert inv_constant_estimate(op, ctx, seed=seed) == exact
+
+
+def test_negative_coupling_fails_the_sign_structure(table):
+    # -2 V1 V2 on the coupling row: D L D is then no Z-matrix, so neither
+    # plain K's sign-flip identity nor the lambda_min certificate holds
+    grid = Grid(10.0, 201)
+    op = assemble(table, 0.5, grid)
+    flipped = DiscreteOperator(grid, 0.5, op.pot1, op.pot2, -op.coup)
+    assert np.any(flipped.band[1] < 0)
+    with pytest.raises(SegkernelError, match="negative coupling"):
+        inv_constant_exact(flipped, NormContext(0.5))
+    with pytest.raises(NoConvergence, match="certificate"):
+        smallest_eigenvalue(flipped)
 
 
 class TestEigenvalue:

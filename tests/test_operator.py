@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from segkernel.counterexample import CounterexampleSpec
 from segkernel.errors import GridMismatch, SingularSystem
+from segkernel.norms import NormContext
 from segkernel.operator1d import (
     DiscreteOperator,
     Grid,
@@ -29,6 +31,21 @@ class TestGrid:
             Grid(10.0, 3)
         with pytest.raises(ValueError):
             Grid(-1.0, 101)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name, build", [
+    ("R", lambda table, x: Grid(x, 201)),
+    ("theta", lambda table, x: NormContext(x)),
+    ("omega", lambda table, x: assemble(table, x, Grid(10.0, 201))),
+    ("R", lambda table, x: CounterexampleSpec(R=x, theta=0.5)),
+    ("omega", lambda table, x: CounterexampleSpec(R=50.0, theta=0.5, omega=x)),
+], ids=["Grid", "NormContext", "assemble", "CounterexampleSpec-R", "CounterexampleSpec-omega"])
+def test_non_finite_parameter_rejected(table, name, build, value):
+    # rejected where the object is built, naming the parameter, not later
+    # inside LAPACK
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build(table, value)
 
 
 class TestAssembly:

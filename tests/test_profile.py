@@ -244,6 +244,26 @@ class TestCache:
             assert list(tmp_path.iterdir()) == [path]
             assert path.read_bytes() == full
 
+    # (line, field) set to nan: dv2 in the middle row of the table, and
+    # the header's A, which would otherwise pass the refit check
+    @pytest.mark.parametrize("line, field", [(2 + 600, 4), (1, 3)], ids=["dv2", "A"])
+    def test_non_finite_cache_is_rewritten(self, tmp_path, line, field):
+        first = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        full = path.read_bytes()
+        lines = full.decode().split("\n")
+        assert lines[1].split()[5] == "inf"     # c_fit: inf is not a corruption
+        words = lines[line].split()
+        words[field] = "nan"
+        lines[line] = " ".join(words)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_profile(path)
+        again = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
+        assert np.array_equal(again.v1, first.v1)
+        assert again.asymptotics.A == first.asymptotics.A
+        assert path.read_bytes() == full
+
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGKERNEL_CACHE", str(tmp_path))
         get_profile(T=12.0, N=1201, newton_tol=1e-9)
