@@ -249,11 +249,16 @@ def cmd_eig(args) -> int:
     }
     rows = []
     code = EXIT_OK
+    shared = {}     # lambda_min(0) per grid, from smallest_eigenvalue
     for om in omegas:
         for r_val in r_list:
             n = args.N or default_node_count(r_val)
+            grid = Grid(r_val, n)
             try:
-                lam = smallest_eigenvalue(assemble(table, om, Grid(r_val, n)))
+                if grid in shared:      # lambda(omega) = lambda(0) + omega^2
+                    lam = shared[grid] + om * om
+                else:
+                    lam = smallest_eigenvalue(assemble(table, om, grid), shared)
             except SegkernelError as exc:
                 print(f"error at omega={om}, R={r_val}: {exc}", file=sys.stderr)
                 code = EXIT_NUMERICAL

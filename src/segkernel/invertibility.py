@@ -19,12 +19,14 @@ tiles that sums the columns past each tile in chunks whose sign is
 certified by interval bounds.  The reflection symmetry supplies the
 lower triangle.  The estimate method returns plain K itself; under
 constraints a Hager-style one-norm power scheme provides a lower
-estimate (up to round-off).  The smallest eigenvalue comes from inverse
-iteration on L - omega^2 I = L(0), started from s / sqrt(m) (by
-Perron-Frobenius its eigenvector is diag(s) p with p > 0); the
-Collatz-Wielandt bound of the Z-matrix diag(s) L diag(s) on the final
-iterate, read off the band with its rounding bounded, certifies it
-from below.
+estimate (up to round-off).  The smallest eigenvalue is
+lambda_min(0) + omega^2, as L - omega^2 I = L(0) exactly: inverse
+iteration on the band of L(0), started from s / sqrt(m) (by
+Perron-Frobenius its eigenvector is diag(s) p with p > 0), and the
+Collatz-Wielandt bound of the Z-matrix diag(s) L(0) diag(s) on the final
+iterate, read off the band with its rounding bounded, which certifies it
+from below, run once per grid: a sweep shares lambda_min(0) between the
+points on one grid.
 """
 
 from __future__ import annotations
@@ -308,8 +310,8 @@ def inv_constant_estimate(
     return best
 
 
-def _perron_lower_bound(op: DiscreteOperator, v: np.ndarray) -> float:
-    """Rigorous lower bound on lambda_min of L from any vector v.
+def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
+    """Rigorous lower bound on lambda_min of the banded L from any vector v.
 
     The off-diagonals of D L D, D = diag(s), are the band's -1/h^2 (row 0)
     and minus its couplings (row 1), so it is a Z-matrix when
@@ -322,7 +324,6 @@ def _perron_lower_bound(op: DiscreteOperator, v: np.ndarray) -> float:
     (Higham, Accuracy and Stability, sec. 3.1); gamma_6 of its computed
     value covers that, 4 smallest subnormals the underflow.
     """
-    band = op.band
     if np.any(band[1] < 0):     # D L D is not a Z-matrix
         return -math.inf
     fp = np.finfo(float)
@@ -339,47 +340,68 @@ def _perron_lower_bound(op: DiscreteOperator, v: np.ndarray) -> float:
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 
-def smallest_eigenvalue(op: DiscreteOperator) -> float:
-    """Certified smallest eigenvalue of the interior banded matrix.
-
-    L = L(0) + omega^2 I exactly, so inverse power iteration runs on the
-    factor of L - omega^2 I (the cached factor at omega = 0, or if that
-    shift does not factor), whose convergence ratio does not degrade
-    with omega, and adds omega^2 back.  As diag(s) L diag(s) is a
-    Stieltjes matrix, s = (+1, -1, +1, ...), its inverse is entrywise
-    positive and (Perron-Frobenius) the lambda_min eigenvector of L is
-    diag(s) p with p > 0; the start s / sqrt(m) overlaps it well.  The
-    iteration stops when successive Rayleigh quotients differ by
-    < EIG_TOL * |value|.  The quotient rho bounds lambda_min above and
-    _perron_lower_bound of the final iterate below; NoConvergence is
-    raised unless that bound is positive and within delta of rho.
-    """
+def _certified_eigenvalue(op: DiscreteOperator, sigma: float) -> float:
+    """lambda_min of L - sigma I, sigma = 0 (the cached factor) or
+    omega^2 (a LinAlgError if L(0) does not factor): inverse iteration
+    from s / sqrt(m) until successive Rayleigh quotients differ by
+    < EIG_TOL * |value|, certified by _perron_lower_bound of the final
+    iterate.  Any NoConvergence carries the quotient plus sigma."""
+    factor = pbtrf(op.shifted_band(sigma)) if sigma > 0.0 else op.factorization()
     m = op.n_unknowns
     v = np.tile([1.0, -1.0], m // 2) / math.sqrt(m)
-    shift = op.omega ** 2
-    try:
-        factor = pbtrf(op.shifted_band(shift)) if shift > 0.0 else op.factorization()
-    except np.linalg.LinAlgError:       # L - omega^2 I is not positive definite
-        shift, factor = 0.0, op.factorization()
     rho_prev = rho = None
     for it in range(EIG_MAX_ITERS):
         y = pbtrs(factor, v)
         ny = float(np.linalg.norm(y))
-        rho = float(y @ v) / (ny * ny) + shift
+        rho = float(y @ v) / (ny * ny)
         v = y / ny
         if it >= 3 and abs(rho - rho_prev) < EIG_TOL * abs(rho):
             break
         rho_prev = rho
     else:
         raise NoConvergence(
-            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho
+            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho + sigma
         )
-    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.band[2]))
-    low = _perron_lower_bound(op, v)
+    del factor      # the band is built again rather than held beside it
+    band = op.shifted_band(sigma) if sigma > 0.0 else op.band
+    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(band[2]))
+    low = _perron_lower_bound(band, v)
     if not (0.0 < low and rho - low <= delta):
         raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
-                            f"positive and within {delta:.3g} of {rho:.17g}", last_value=rho)
+                            f"positive and within {delta:.3g} of {rho:.17g}",
+                            last_value=rho + sigma)
     return rho
+
+
+def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> float:
+    """Certified smallest eigenvalue of the interior banded matrix.
+
+    L = L(0) + omega^2 I exactly (op.shifted_band(omega^2) is the band of
+    L(0) bit for bit), so lambda_min(omega) = lambda_min(0) + omega^2:
+    the iteration and its certificate run on L(0), from the cached
+    factor at omega = 0, and omega^2 is added to the result.  shared,
+    when given, maps each Grid to its lambda_min(0), so that every
+    operator on that grid (of the same profile) reuses it.  If L(0) does
+    not factor, the iteration runs on L itself, unshared.
+
+    As diag(s) L diag(s) is a Stieltjes matrix, s = (+1, -1, +1, ...), its
+    inverse is entrywise positive and (Perron-Frobenius) the lambda_min
+    eigenvector of L is diag(s) p with p > 0; the start s / sqrt(m)
+    overlaps it well.  The Rayleigh quotient rho bounds lambda_min above
+    and the Collatz-Wielandt bound of the final iterate below;
+    NoConvergence is raised unless that bound is positive and within
+    delta of rho.
+    """
+    w2 = op.w2
+    if shared is not None and op.grid in shared:
+        return shared[op.grid] + w2
+    try:
+        rho0 = _certified_eigenvalue(op, w2)
+    except np.linalg.LinAlgError:       # L(0) is not positive definite
+        return _certified_eigenvalue(op, 0.0)
+    if shared is not None:
+        shared[op.grid] = rho0
+    return rho0 + w2
 
 
 @dataclass(frozen=True)
@@ -416,8 +438,10 @@ def run_sweep_entry(
     p: ProfileTable,
     point: SweepPoint,
     estimator_seed: int = 42,
+    shared: dict | None = None,
 ) -> SweepRecord:
-    """Run one sweep point; numerical failures are recorded, not raised."""
+    """Run one sweep point; numerical failures are recorded, not raised.
+    shared is passed on to smallest_eigenvalue."""
     t0 = time.perf_counter()
     k_val = lam = ce = float("nan")
     err = ""
@@ -435,7 +459,7 @@ def run_sweep_entry(
             kb = kernel_basis(p, grid)
             elements = [kb.z1, kb.z2][:n_orth]
         try:
-            lam = smallest_eigenvalue(op)
+            lam = smallest_eigenvalue(op, shared)
         except NoConvergence as exc:
             lam = exc.last_value if exc.last_value is not None else float("nan")
             err = f"NoConvergence: {exc}"
@@ -471,5 +495,7 @@ def run_sweep_entry(
 
 
 def run_sweep(p: ProfileTable, plan, estimator_seed: int = 42):
-    """Run the whole plan in order, one entry at a time."""
-    return [run_sweep_entry(p, pt, estimator_seed) for pt in plan]
+    """Run the whole plan in order, one entry at a time; lambda_min(0) is
+    computed once per grid and shared by the points on it."""
+    shared = {}
+    return [run_sweep_entry(p, pt, estimator_seed, shared) for pt in plan]

@@ -95,31 +95,47 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with a cached symmetric factorization."""
+    """Assembled banded operator with a cached symmetric factorization.
 
-    def __init__(self, grid: Grid, omega: float, pot1, pot2, coup):
+    It keeps the omega-free potentials; omega^2 enters only the diagonal,
+    so L(omega) = L(0) + omega^2 I exactly.
+    """
+
+    def __init__(self, grid: Grid, omega: float, pot1_0, pot2_0, coup):
         self.grid = grid
         self.omega = float(omega)
-        self.pot1 = pot1            # V2^2 + w^2 at interior nodes
-        self.pot2 = pot2            # V1^2 + w^2 at interior nodes
+        self.w2 = self.omega * self.omega
+        self.pot1_0 = pot1_0        # V2^2 at interior nodes
+        self.pot2_0 = pot2_0        # V1^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
         self.band = self.shifted_band(0.0)
         self._factor = None
         self.smallest_pivot = None
 
     @property
+    def pot1(self) -> np.ndarray:
+        """V2^2 + w^2 at interior nodes."""
+        return self.pot1_0 + self.w2
+
+    @property
+    def pot2(self) -> np.ndarray:
+        """V1^2 + w^2 at interior nodes."""
+        return self.pot2_0 + self.w2
+
+    @property
     def n_unknowns(self) -> int:
         return 2 * (self.grid.N - 2)
 
     def shifted_band(self, sigma: float) -> np.ndarray:
-        """Upper band storage of L - sigma I.  sigma comes off the
-        potentials before 2/h^2 is added, so sigma = omega^2 gives the
-        omega = 0 band up to round-off in the potentials alone."""
+        """Upper band storage of L - sigma I.  sigma comes off omega^2
+        before the potentials and 2/h^2 are added, so shifted_band(w2) is
+        bit for bit the band of L(0)."""
         m = self.n_unknowns
         h2 = self.grid.h ** 2
+        shift = self.w2 - sigma
         band = np.zeros((3, m))
-        band[2, 0::2] = 2.0 / h2 + (self.pot1 - sigma)
-        band[2, 1::2] = 2.0 / h2 + (self.pot2 - sigma)
+        band[2, 0::2] = 2.0 / h2 + (self.pot1_0 + shift)
+        band[2, 1::2] = 2.0 / h2 + (self.pot2_0 + shift)
         band[1, 1::2] = self.coup          # same-node coupling
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band
@@ -159,19 +175,35 @@ class DiscreteOperator:
     def apply(self, u: PairGridFunction) -> PairGridFunction:
         """Apply the discrete operator; endpoints of the output are 0.
 
-        Endpoint values of u act as boundary data.  Second differences
-        are taken as differences of first differences, which keeps the
-        evaluation reliable for near-kernel inputs.
+        Endpoint values of u act as boundary data.
         """
         if u.grid != self.grid:
             raise GridMismatch("operand lives on a different grid")
         out = PairGridFunction.zeros(self.grid)
-        h2 = self.grid.h ** 2
-        for comp, other, pot, dst in ((u.comp1, u.comp2, self.pot1, out.comp1),
-                                      (u.comp2, u.comp1, self.pot2, out.comp2)):
-            d = np.diff(comp)
-            dst[1:-1] = -(d[1:] - d[:-1]) / h2 + pot * comp[1:-1] + self.coup * other[1:-1]
+        out.comp1[1:-1], out.comp2[1:-1] = _stencil(
+            self.grid.h ** 2, self.w2, (self.pot1_0, self.pot2_0, self.coup),
+            u.comp1, u.comp2)
         return out
+
+
+def _stencil(h2, w2, pots, u1, u2):
+    """L (u1, u2) at every node but the first and last of u1 and u2,
+    with pots = (V2^2, V1^2, 2 V1 V2) at those nodes.  Second differences
+    are taken as differences of first differences, which keeps the
+    evaluation reliable for near-kernel inputs.
+    """
+    pot1_0, pot2_0, coup = pots
+    out = []
+    for comp, other, pot in ((u1, u2, pot1_0), (u2, u1, pot2_0)):
+        d = np.diff(comp)
+        out.append(-(d[1:] - d[:-1]) / h2 + (pot + w2) * comp[1:-1] + coup * other[1:-1])
+    return out
+
+
+def _potentials(p: ProfileTable, x):
+    """(V2^2, V1^2, 2 V1 V2) at the points x."""
+    v1, _, v2, _ = eval_profile(p, x)
+    return v2 * v2, v1 * v1, 2.0 * v1 * v2
 
 
 def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
@@ -179,9 +211,18 @@ def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
     (tail extension supplies them for R beyond the table)."""
     if not (np.isfinite(omega) and omega >= 0):
         raise ValueError("omega must be finite and nonnegative")
-    v1, _, v2, _ = eval_profile(p, grid.interior)
-    w2 = omega * omega
-    return DiscreteOperator(grid, omega, v2 * v2 + w2, v1 * v1 + w2, 2.0 * v1 * v2)
+    return DiscreteOperator(grid, omega, *_potentials(p, grid.interior))
+
+
+def apply_between(p: ProfileTable, omega: float, u: PairGridFunction, lo: int, hi: int):
+    """(L u) at the nodes lo..hi-1 of u's grid, 1 <= lo < hi <= N - 1, as
+    two arrays, with L assembled at those nodes only: entry by entry
+    what assemble(p, omega, u.grid).apply(u) gives there."""
+    if not (1 <= lo < hi <= u.grid.N - 1):
+        raise ValueError("need 1 <= lo < hi <= N - 1")
+    pots = _potentials(p, u.grid.nodes[lo:hi])
+    return _stencil(u.grid.h ** 2, omega * omega, pots,
+                    u.comp1[lo - 1:hi + 1], u.comp2[lo - 1:hi + 1])
 
 
 def mms_pair(grid: Grid):

@@ -496,8 +496,9 @@ def save_profile(p: ProfileTable, path):
         f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}"
     )
     cols = np.column_stack([p.nodes, p.v1, p.dv1, p.v2, p.dv2])
-    for row in cols:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    for i in range(0, len(cols), 256):     # as Python floats, a block of rows at a time
+        lines += ["%.17g %.17g %.17g %.17g %.17g" % tuple(row)
+                  for row in cols[i:i + 256].tolist()]
     tmp = f"{path}.{os.getpid()}.tmp"    # renamed over path: never read half-written
     try:
         with open(tmp, "w") as fh:

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from segkernel import invertibility
 from segkernel.cli import main
+from segkernel.invertibility import SweepPoint, run_sweep, smallest_eigenvalue
+from segkernel.operator1d import Grid, assemble
 from segkernel.profile import load_profile
 
 
@@ -136,6 +139,38 @@ class TestEigCommand:
         lam01 = float(rows[0].split(",")[3])
         lam03 = float(rows[1].split(",")[3])
         assert abs((lam03 - lam01) - 0.08) <= 1e-10
+
+
+    def test_rows_share_lambda_zero(self, cache_dir, tmp_path, monkeypatch):
+        # one lambda_min iteration per R; every omega > 0 row is the
+        # omega = 0 row plus omega^2 to the bit, as smallest_eigenvalue and
+        # the sweep give it
+        sizes = []
+        iterate = invertibility._certified_eigenvalue
+
+        def counting(op, sigma):
+            sizes.append(op.n_unknowns)
+            return iterate(op, sigma)
+
+        monkeypatch.setattr(invertibility, "_certified_eigenvalue", counting)
+        out = tmp_path / "eig.csv"
+        code = main(["eig", *common_args(cache_dir), "--omega", "0,0.05,0.3",
+                     "--R", "40,160", "--out", str(out)])
+        assert code == 0
+        assert len(sizes) == 2
+        lines = [l for l in read_lines(out) if not l.startswith("#")]
+        assert lines[0] == "omega,R,N,lambda_min"
+        rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+        assert len(rows) == 6
+        base = {r_val: lam for om, r_val, _, lam in rows if om == 0.0}
+        table = load_profile(os.path.join(cache_dir, os.listdir(cache_dir)[0]))
+        shifted = [row for row in rows if row[0] > 0.0]
+        recs = run_sweep(table, [SweepPoint(theta=0.5, omega=om, R=r_val, N=int(n))
+                                 for om, r_val, n, _ in shifted])
+        for (om, r_val, n, lam), rec in zip(shifted, recs):
+            assert lam == base[r_val] + om * om
+            assert lam == smallest_eigenvalue(assemble(table, om, Grid(r_val, int(n))))
+            assert lam == rec.lambda_min
 
 
 class TestConfigAndErrors:

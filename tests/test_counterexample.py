@@ -17,7 +17,8 @@ from segkernel.counterexample import (
     smooth_cutoff,
 )
 from segkernel.errors import ResolutionInsufficient
-from segkernel.operator1d import Grid
+from segkernel.norms import NormContext, weighted_sup
+from segkernel.operator1d import Grid, apply_between, assemble
 from segkernel.profile import eval_profile
 
 # regression values of r at theta = alpha = 0.5, default node rule
@@ -180,8 +181,31 @@ class TestResidual:
         rep = counterexample_residual(
             table, CounterexampleSpec(R=R, theta=0.5, omega=omega), strict=False
         )
-        with mock.patch.object(counterexample, "assemble",
-                               wraps=counterexample.assemble) as spy:
+        with mock.patch.object(counterexample, "apply_between",
+                               wraps=counterexample.apply_between) as spy:
             bound = lower_bound_from_counterexample(table, 0.5, omega, R)
         assert spy.call_count == 1
         assert bound == rep.norm_phi / (omega * rep.r)
+
+    @pytest.mark.parametrize("R", [10.0, 50.0, 800.0])
+    def test_window_residual_matches_full_grid(self, table, R):
+        # L assembled and applied on the window only gives, bit for bit,
+        # the full-grid evaluation restricted to the window (at R = 10
+        # the window holds the whole grid, endpoints included)
+        spec = CounterexampleSpec(R=R, theta=0.5, omega=R ** -0.5)
+        phi = build_counterexample(table, spec)
+        grid = spec.grid
+        rho = assemble(table, spec.omega, grid).apply(phi)
+        window = max(table.half_length, 0.75 * math.log(R))
+        x = grid.nodes
+        mask = (np.abs(x) <= window) & (np.abs(x) > 0.5 * grid.h)
+        full = weighted_sup(x[mask], rho.comp1[mask], rho.comp2[mask], 0.5)
+        got, _, got_window = counterexample._windowed_weighted_residual(
+            table, spec, grid.N, NormContext(0.5))
+        assert got == full and got_window == window
+        for lo, hi in ((1, grid.N - 1), (1, 7), (grid.N // 3, grid.N // 2)):
+            r1, r2 = apply_between(table, spec.omega, phi, lo, hi)
+            assert np.array_equal(r1, rho.comp1[lo:hi])
+            assert np.array_equal(r2, rho.comp2[lo:hi])
+        with pytest.raises(ValueError):
+            apply_between(table, spec.omega, phi, 0, 7)

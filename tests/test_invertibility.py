@@ -49,16 +49,17 @@ def dense_k(table, op, ctx, elements=None):
 
 
 def eigenvalue_and_bound(op):
-    """smallest_eigenvalue(op) and the lower bound that certified it."""
+    """smallest_eigenvalue(op) and the lower bound that certified it: the
+    certificate is of L(0), so omega^2 is added to it, rounded down."""
     bounds = []
 
-    def capture(op, v):
-        bounds.append(_perron_lower_bound(op, v))
+    def capture(band, v):
+        bounds.append(_perron_lower_bound(band, v))
         return bounds[-1]
 
     with mock.patch.object(invertibility, "_perron_lower_bound", capture):
         rho = smallest_eigenvalue(op)
-    return rho, bounds[0]
+    return rho, float(np.nextafter(bounds[0] + op.w2, -np.inf))
 
 
 class TestExactNorm:
@@ -285,7 +286,7 @@ def test_negative_coupling_fails_the_sign_structure(table):
     # plain K's sign-flip identity nor the lambda_min certificate holds
     grid = Grid(10.0, 201)
     op = assemble(table, 0.5, grid)
-    flipped = DiscreteOperator(grid, 0.5, op.pot1, op.pot2, -op.coup)
+    flipped = DiscreteOperator(grid, 0.5, op.pot1_0, op.pot2_0, -op.coup)
     assert np.any(flipped.band[1] < 0)
     with pytest.raises(SegkernelError, match="negative coupling"):
         inv_constant_exact(flipped, NormContext(0.5))
@@ -371,23 +372,27 @@ class TestEigenvalue:
         assert len(calls) <= 10
 
     def test_identity_shift(self, table):
-        # the fine R = 10 grid (2/h^2 = 8e4) fails if omega^2 is taken off
-        # the assembled diagonal instead of off the potentials
+        # the iteration runs on the band of L(0) at every omega, so
+        # lambda(omega) is lambda(0) + omega^2 to the bit, on the fine
+        # R = 10 grid (2/h^2 = 8e4) and at R = 800 alike
         for r_val, n in ((10.0, 4001), (40.0, 3201), (800.0, 64001)):
             grid = Grid(r_val, n)
+            op = assemble(table, 0.3, grid)
+            assert np.array_equal(op.shifted_band(0.3 * 0.3),
+                                  assemble(table, 0.0, grid).band)
             lam0 = smallest_eigenvalue(assemble(table, 0.0, grid))
-            lam = smallest_eigenvalue(assemble(table, 0.3, grid))
-            assert abs((lam - lam0) - 0.09) <= 1e-12, r_val
+            assert smallest_eigenvalue(op) == lam0 + 0.3 * 0.3, r_val
 
     def test_fallback_when_shifted_factor_fails(self, table):
-        # potentials pot(0) + omega^2 - 1.5 lambda(0): L - omega^2 I is
+        # omega-free potentials pot(0) - 1.5 lambda(0): L - omega^2 I is
         # indefinite, so the iteration falls back to the cached factor
         grid = Grid(10.0, 201)
         omega = 0.3
         op0 = assemble(table, 0.0, grid)
         lam0 = smallest_eigenvalue(op0)
         c = omega * omega - 1.5 * lam0
-        op = DiscreteOperator(grid, omega, op0.pot1 + c, op0.pot2 + c, op0.coup)
+        op = DiscreteOperator(grid, omega, op0.pot1_0 - 1.5 * lam0,
+                              op0.pot2_0 - 1.5 * lam0, op0.coup)
         with pytest.raises(LinAlgError):
             pbtrf(op.shifted_band(omega * omega))
         dense = dense_matrix(table, 0.0, grid) + c * np.eye(op.n_unknowns)
@@ -420,6 +425,53 @@ class TestEigenvalue:
         with pytest.raises(NoConvergence, match="5 iterations") as info:
             smallest_eigenvalue(op)
         assert info.value.last_value is not None
+
+
+def count_iterations(monkeypatch):
+    """Sizes of the matrices the lambda_min iteration runs on, one per run."""
+    sizes = []
+    iterate = invertibility._certified_eigenvalue
+
+    def counting(op, sigma):
+        sizes.append(op.n_unknowns)
+        return iterate(op, sigma)
+
+    monkeypatch.setattr(invertibility, "_certified_eigenvalue", counting)
+    return sizes
+
+
+class TestSharedEigenvalue:
+    def test_one_iteration_per_grid_and_call(self, table, monkeypatch):
+        sizes = count_iterations(monkeypatch)
+        plan = [SweepPoint(theta=0.5, omega=om, R=r_val, N=n)
+                for om in (0.0, 0.05, 0.3) for r_val, n in ((20.0, 801), (40.0, 1601))]
+        recs = run_sweep(table, plan)
+        assert sizes == [2 * 799, 2 * 1599]
+        base = {rec.R: rec.lambda_min for rec in recs if rec.omega == 0.0}
+        for rec in recs:
+            assert rec.error == ""
+            assert rec.lambda_min == base[rec.R] + rec.omega * rec.omega
+        # nothing outlives the call: a second sweep iterates again
+        assert [r.lambda_min for r in run_sweep(table, plan)] == [r.lambda_min for r in recs]
+        assert len(sizes) == 4
+
+    def test_orth_plan_iterates_once_per_grid(self, table, monkeypatch):
+        sizes = count_iterations(monkeypatch)
+        plan = [SweepPoint(theta=0.5, omega=0.0, R=r_val, N=n, orth_mode=mode)
+                for r_val, n in ((20.0, 801), (40.0, 1601)) for mode in ("none", "one")]
+        recs = run_sweep(table, plan)
+        assert sizes == [2 * 799, 2 * 1599]
+        assert recs[0].lambda_min == recs[1].lambda_min
+        assert recs[2].lambda_min == recs[3].lambda_min
+
+    def test_first_point_may_have_omega(self, table):
+        # the grid's lambda(0) comes from L(0)'s own factor when omega > 0
+        # and from the cached one at omega = 0: the same bits either way
+        grid = Grid(20.0, 801)
+        shared = {}
+        lam = smallest_eigenvalue(assemble(table, 0.3, grid), shared)
+        assert lam == shared[grid] + 0.3 * 0.3
+        assert shared[grid] == smallest_eigenvalue(assemble(table, 0.0, grid))
 
 
 class TestSweep:

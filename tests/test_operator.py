@@ -184,7 +184,7 @@ class TestFactorization:
         op = assemble(table, 0.0, Grid(20.0, 801))
         lam = smallest_eigenvalue(op)
         shifted = DiscreteOperator(
-            op.grid, 0.0, op.pot1 - 1.5 * lam, op.pot2 - 1.5 * lam, op.coup
+            op.grid, 0.0, op.pot1_0 - 1.5 * lam, op.pot2_0 - 1.5 * lam, op.coup
         )
         with pytest.raises(SingularSystem):
             shifted.factorization()

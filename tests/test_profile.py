@@ -10,6 +10,7 @@ from segkernel.errors import (
     WindowTooContaminated,
 )
 from segkernel.profile import (
+    CACHE_HEADER,
     DEFAULT_TAIL_TOL,
     AsymptoticConstants,
     ProfileTable,
@@ -205,6 +206,18 @@ class TestCache:
             assert np.array_equal(getattr(loaded, name), getattr(table, name))
         assert loaded.asymptotics.A == table.asymptotics.A
         assert loaded.asymptotics.B == table.asymptotics.B
+
+    def test_cache_bytes_match_per_value_format(self, table, tmp_path):
+        # the row formatter writes what formatting each value alone did
+        path = tmp_path / "profile.txt"
+        save_profile(table, path)
+        a = table.asymptotics
+        lines = [CACHE_HEADER,
+                 f"{table.half_length:.17g} {table.n_nodes} {table.newton_tol:.17g} "
+                 f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}"]
+        cols = np.column_stack([table.nodes, table.v1, table.dv1, table.v2, table.dv2])
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in cols]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bogus.txt"
