@@ -1,8 +1,6 @@
 """Phase-separation profile, linearized Dirichlet solver, and
 invertibility-constant experiments."""
 
-import ctypes
-
 from . import errors, lapack
 from .counterexample import (
     CounterexampleSpec,
@@ -56,20 +54,3 @@ from .profile import (
 
 __version__ = "0.1.0"
 
-
-def _pin_openblas_to_one_thread():
-    """Set the OpenBLAS behind segkernel's LAPACK calls (numpy's, see
-    lapack.py) to one thread: a second one buys nothing on banded solves
-    and small tile products, spins a core, and makes threaded dot products
-    round with the thread count.  Does nothing where that library is not
-    an OpenBLAS."""
-    for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
-                 "scipy_openblas_set_num_threads64_"):
-        setter = getattr(lapack.LIBRARY, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
-
-
-_pin_openblas_to_one_thread()

@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SystemExit as exc:       # --help
         return exc.code or EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:     # MemoryError: a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SegkernelError as exc:

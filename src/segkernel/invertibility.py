@@ -20,8 +20,8 @@ certified by interval bounds.  The reflection symmetry supplies the
 lower triangle.  The estimate method returns plain K itself; under
 constraints a Hager-style one-norm power scheme provides a lower
 estimate (up to round-off).  The smallest eigenvalue is
-lambda_min(0) + omega^2, as L - omega^2 I = L(0) exactly: inverse
-iteration on the band of L(0), started from s / sqrt(m) (by
+lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
+iteration on the operator L(0), started from s / sqrt(m) (by
 Perron-Frobenius its eigenvector is diag(s) p with p > 0), and the
 Collatz-Wielandt bound of the Z-matrix diag(s) L(0) diag(s) on the final
 iterate, read off the band with its rounding bounded, which certifies it
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterexample import lower_bound_from_counterexample
-from .errors import BudgetExceeded, NoConvergence, SegkernelError
-from .lapack import pbtrf, pbtrs, tbtrs
+from .errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
+from .lapack import gbsv
 from .norms import NormContext, Projector, cosh_weights, kernel_basis
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
@@ -98,8 +98,8 @@ def _near_triangles(factor, y, g, weights, c):
     band[0, 4::2] = -beta[:-2] ** 2
     rhs = np.zeros(2 * m)
     rhs[0::2] = 1.0 / factor[2] ** 2
-    t = tbtrs(band, rhs)
-    del band, rhs       # freed before the tile arrays, which set the peak memory
+    t = gbsv(0, 4, band, rhs)
+    del band, rhs       # freed before the tile arrays are allocated
     d0, d1 = t[0::2], t[1::2]
     first = np.arange(n_tiles) * c - pad           # each tile's first (padded) row
 
@@ -340,18 +340,15 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 
-def _certified_eigenvalue(op: DiscreteOperator, sigma: float) -> float:
-    """lambda_min of L - sigma I, sigma = 0 (the cached factor) or
-    omega^2 (a LinAlgError if L(0) does not factor): inverse iteration
-    from s / sqrt(m) until successive Rayleigh quotients differ by
-    < EIG_TOL * |value|, certified by _perron_lower_bound of the final
-    iterate.  Any NoConvergence carries the quotient plus sigma."""
-    factor = pbtrf(op.shifted_band(sigma)) if sigma > 0.0 else op.factorization()
+def _certified_eigenvalue(op: DiscreteOperator) -> float:
+    """lambda_min of op: inverse iteration from s / sqrt(m) until
+    successive Rayleigh quotients differ by < EIG_TOL * |value|, certified
+    by _perron_lower_bound of the final iterate on op.band."""
     m = op.n_unknowns
     v = np.tile([1.0, -1.0], m // 2) / math.sqrt(m)
     rho_prev = rho = None
     for it in range(EIG_MAX_ITERS):
-        y = pbtrs(factor, v)
+        y = op.solve_interior(v)
         ny = float(np.linalg.norm(y))
         rho = float(y @ v) / (ny * ny)
         v = y / ny
@@ -360,26 +357,24 @@ def _certified_eigenvalue(op: DiscreteOperator, sigma: float) -> float:
         rho_prev = rho
     else:
         raise NoConvergence(
-            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho + sigma
+            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho
         )
-    del factor      # the band is built again rather than held beside it
-    band = op.shifted_band(sigma) if sigma > 0.0 else op.band
-    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(band[2]))
-    low = _perron_lower_bound(band, v)
+    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.band[2]))
+    low = _perron_lower_bound(op.band, v)
     if not (0.0 < low and rho - low <= delta):
         raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
                             f"positive and within {delta:.3g} of {rho:.17g}",
-                            last_value=rho + sigma)
+                            last_value=rho)
     return rho
 
 
 def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> float:
     """Certified smallest eigenvalue of the interior banded matrix.
 
-    L = L(0) + omega^2 I exactly (op.shifted_band(omega^2) is the band of
-    L(0) bit for bit), so lambda_min(omega) = lambda_min(0) + omega^2:
-    the iteration and its certificate run on L(0), from the cached
-    factor at omega = 0, and omega^2 is added to the result.  shared,
+    L = L(0) + omega^2 I exactly, so lambda_min(omega) = lambda_min(0) +
+    omega^2: the iteration and its certificate run on L(0) (op itself at
+    omega = 0, else built from op's omega-free potentials), and omega^2
+    is added to the result and to a NoConvergence's last value.  shared,
     when given, maps each Grid to its lambda_min(0), so that every
     operator on that grid (of the same profile) reuses it.  If L(0) does
     not factor, the iteration runs on L itself, unshared.
@@ -395,10 +390,16 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     w2 = op.w2
     if shared is not None and op.grid in shared:
         return shared[op.grid] + w2
+    op0 = op if w2 == 0.0 else DiscreteOperator(op.grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
     try:
-        rho0 = _certified_eigenvalue(op, w2)
-    except np.linalg.LinAlgError:       # L(0) is not positive definite
-        return _certified_eigenvalue(op, 0.0)
+        rho0 = _certified_eigenvalue(op0)
+    except SingularSystem:      # L(0) is not positive definite
+        if op0 is op:
+            raise
+        return _certified_eigenvalue(op)
+    except NoConvergence as exc:
+        exc.last_value += w2
+        raise
     if shared is not None:
         shared[op.grid] = rho0
     return rho0 + w2

@@ -1,13 +1,14 @@
-"""The four banded LAPACK routines segkernel calls, bound with ctypes.
+"""The three banded LAPACK routines segkernel calls, bound with ctypes.
 
 `pbtrf` and `pbtrs` give the operator's Cholesky factor and its solves,
-`gbsv` the profile's Newton step and `tbtrs` the one back substitution
-of constrained K, which gives the diagonal and first off-diagonal of the
-inverse.  The symbols come from the LAPACK that numpy has already loaded:
-opening numpy's linalg extension with ctypes resolves them through that
-module's own dependency, so no second LAPACK is imported.
-On the numpy wheels that is scipy-openblas with 64-bit integers and names
-such as `scipy_dpbtrf_64_`.
+`gbsv` the profile's Newton step and, with no subdiagonal, the one back
+substitution of constrained K, which gives the diagonal and first
+off-diagonal of the inverse.  The symbols come from the LAPACK that
+numpy has already loaded: opening numpy's linalg extension with ctypes
+resolves them through that module's own dependency, so no second LAPACK
+is imported.  On the numpy wheels that is scipy-openblas with 64-bit
+integers and names such as `scipy_dpbtrf_64_`.  Importing the module
+sets that library, when it is an OpenBLAS, to one thread.
 
 Every routine copies its right-hand side and returns a new array.  A
 non-finite input raises ValueError (pbtrs checks only its right-hand
@@ -26,6 +27,23 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 LIBRARY = ctypes.CDLL(_umath_linalg.__file__)
+
+
+def _pin_openblas_to_one_thread():
+    """Set LIBRARY to one thread: a second one buys nothing on banded
+    solves and small tile products, spins a core, and makes threaded dot
+    products round with the thread count.  Does nothing where LIBRARY is
+    not an OpenBLAS."""
+    for name in ("openblas_set_num_threads", "scipy_openblas_set_num_threads",
+                 "scipy_openblas_set_num_threads64_"):
+        setter = getattr(LIBRARY, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_pin_openblas_to_one_thread()
 
 # (symbol pattern, LAPACK integer) in the order tried
 _SPELLINGS = (
@@ -70,7 +88,6 @@ def _bind(routine: str, signature: str, failure: str):
 _dpbtrf, _ = _bind("dpbtrf", "ciidi", "{}-th leading minor not positive definite")
 _dpbtrs, _ = _bind("dpbtrs", "ciiididi", "info = {}")
 _dgbsv, _PIVOT = _bind("dgbsv", "iiiidipdi", "singular matrix: U({0},{0}) is zero")
-_dtbtrs, _ = _bind("dtbtrs", "ccciiididi", "singular matrix: diagonal entry {} is zero")
 
 
 def _band(band, rows=None, copy=False) -> np.ndarray:
@@ -116,24 +133,17 @@ def pbtrs(factor, b) -> np.ndarray:
 
 def gbsv(kl: int, ku: int, band, b) -> np.ndarray:
     """Solve A x = b for a general band with kl sub- and ku
-    superdiagonals in kl + ku + 1 rows, by LU with row pivoting."""
-    a = _band(band, rows=kl + ku + 1)
+    superdiagonals in kl + ku + 1 rows, by LU with row pivoting.  With
+    kl = 0 that is a back substitution: LAPACK eliminates nothing and only
+    reads the band, which is then passed without a copy."""
+    ab = a = _band(band, rows=kl + ku + 1)
     x, nrhs = _rhs(a, b)
     _finite(a)
     n = a.shape[1]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")    # kl more rows for the fill-in
-    ab[kl:] = a
+    if kl:
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")    # kl more rows for the fill-in
+        ab[kl:] = a
     ipiv = np.empty(n, dtype=_PIVOT)
     _dgbsv(n, kl, ku, nrhs, ab, ab.shape[0], ipiv, x, max(1, n))
     return x
 
-
-def tbtrs(band, b) -> np.ndarray:
-    """Solve U x = b for an upper-triangular band, diagonal in the last
-    row, by back substitution."""
-    ab = _band(band)
-    x, nrhs = _rhs(ab, b)
-    _finite(ab)
-    n = ab.shape[1]
-    _dtbtrs(b"U", b"N", b"N", n, ab.shape[0] - 1, nrhs, ab, ab.shape[0], x, max(1, n))
-    return x

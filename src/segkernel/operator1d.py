@@ -8,13 +8,15 @@ The two-component operator
 is discretized on a uniform grid over (-R, R) with homogeneous
 Dirichlet endpoints, second-order central differences, and the two
 unknowns interleaved per node, giving a symmetric banded matrix with
-half-bandwidth 2 over the 2(N-2) interior unknowns.  The factorization
-is computed once per operator and reused for every solve.
+half-bandwidth 2 over the 2(N-2) interior unknowns.  The band is built
+on first use, and the factorization once per operator and reused for
+every solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,34 +110,20 @@ class DiscreteOperator:
         self.pot1_0 = pot1_0        # V2^2 at interior nodes
         self.pot2_0 = pot2_0        # V1^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
-        self.band = self.shifted_band(0.0)
         self._factor = None
         self.smallest_pivot = None
-
-    @property
-    def pot1(self) -> np.ndarray:
-        """V2^2 + w^2 at interior nodes."""
-        return self.pot1_0 + self.w2
-
-    @property
-    def pot2(self) -> np.ndarray:
-        """V1^2 + w^2 at interior nodes."""
-        return self.pot2_0 + self.w2
 
     @property
     def n_unknowns(self) -> int:
         return 2 * (self.grid.N - 2)
 
-    def shifted_band(self, sigma: float) -> np.ndarray:
-        """Upper band storage of L - sigma I.  sigma comes off omega^2
-        before the potentials and 2/h^2 are added, so shifted_band(w2) is
-        bit for bit the band of L(0)."""
-        m = self.n_unknowns
+    @cached_property
+    def band(self) -> np.ndarray:
+        """Upper band storage of L, built on first use."""
         h2 = self.grid.h ** 2
-        shift = self.w2 - sigma
-        band = np.zeros((3, m))
-        band[2, 0::2] = 2.0 / h2 + (self.pot1_0 + shift)
-        band[2, 1::2] = 2.0 / h2 + (self.pot2_0 + shift)
+        band = np.zeros((3, self.n_unknowns))
+        band[2, 0::2] = 2.0 / h2 + (self.pot1_0 + self.w2)
+        band[2, 1::2] = 2.0 / h2 + (self.pot2_0 + self.w2)
         band[1, 1::2] = self.coup          # same-node coupling
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band
@@ -249,8 +237,8 @@ def mms_solve_error(op: DiscreteOperator) -> float:
     grid = op.grid
     phi1, phi2, phi1_xx, phi2_xx = mms_pair(grid)
     g = PairGridFunction.zeros(grid)
-    g.comp1[1:-1] = -phi1_xx[1:-1] + op.pot1 * phi1[1:-1] + op.coup * phi2[1:-1]
-    g.comp2[1:-1] = -phi2_xx[1:-1] + op.pot2 * phi2[1:-1] + op.coup * phi1[1:-1]
+    g.comp1[1:-1] = -phi1_xx[1:-1] + (op.pot1_0 + op.w2) * phi1[1:-1] + op.coup * phi2[1:-1]
+    g.comp2[1:-1] = -phi2_xx[1:-1] + (op.pot2_0 + op.w2) * phi2[1:-1] + op.coup * phi1[1:-1]
     sol = op.solve(g)
     return float(max(np.max(np.abs(sol.comp1 - phi1)), np.max(np.abs(sol.comp2 - phi2))))
 

@@ -380,12 +380,9 @@ def solve_profile(
     return table
 
 
-def extract_asymptotics(
-    p: ProfileTable,
-    fit_window,
-    contamination_tol: float | None = None,
-) -> AsymptoticConstants:
-    """Affine tail fit v1 ~ A x + B over [x_lo, x_hi], plus decay rate.
+def extract_asymptotics(p: ProfileTable, fit_window) -> AsymptoticConstants:
+    """Affine tail fit v1 ~ A x + B over [x_lo, x_hi], plus decay rate;
+    WindowTooContaminated where v2 exceeds DEFAULT_TAIL_TOL in the window.
 
     c_fit is the slope of log|deviation| against -x^2 over the part of
     the window where the deviation is still above round-off; it is a
@@ -396,7 +393,6 @@ def extract_asymptotics(
     x_lo, x_hi = fit_window
     if not (0.0 < x_lo < x_hi <= p.half_length):
         raise ValueError("fit window must satisfy 0 < x_lo < x_hi <= T")
-    tol = DEFAULT_TAIL_TOL if contamination_tol is None else contamination_tol
 
     sel = (p.nodes >= x_lo) & (p.nodes <= x_hi)
     if np.count_nonzero(sel) < 8:
@@ -404,9 +400,9 @@ def extract_asymptotics(
     x = p.nodes[sel]
     y = p.v1[sel]
     v2max = float(np.max(p.v2[sel]))
-    if v2max > tol:
+    if v2max > DEFAULT_TAIL_TOL:
         raise WindowTooContaminated(
-            f"max v2 in window is {v2max:.3e} > {tol:.3e}"
+            f"max v2 in window is {v2max:.3e} > {DEFAULT_TAIL_TOL:.3e}"
         )
 
     a, b = _fit_affine(x, y)

@@ -148,9 +148,9 @@ class TestEigCommand:
         sizes = []
         iterate = invertibility._certified_eigenvalue
 
-        def counting(op, sigma):
+        def counting(op):
             sizes.append(op.n_unknowns)
-            return iterate(op, sigma)
+            return iterate(op)
 
         monkeypatch.setattr(invertibility, "_certified_eigenvalue", counting)
         out = tmp_path / "eig.csv"
@@ -296,6 +296,18 @@ class TestConfigAndErrors:
         assert err.count("\n") == 1 and flag in err and "Traceback" not in err
         assert not out.exists()
         assert list(cache.iterdir()) == []      # no profile was solved
+
+    @pytest.mark.parametrize("argv", [
+        ["eig", "--omega", "0", "--R", "1e15"],
+        ["sweep", "--omega", "0", "--R", "1e15"],
+        ["counterexample", "--R", "1e15"],
+    ], ids=["eig", "sweep", "counterexample"])
+    def test_grid_too_large_to_allocate(self, cache_dir, capsys, argv):
+        # 8e16 nodes: numpy refuses the node array at once, allocating nothing
+        code = main([argv[0], *common_args(cache_dir), *argv[1:], "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "allocate" in err
 
     def test_trailing_config_flag(self, capsys):
         assert main(["sweep", "--config"]) == 1

@@ -3,11 +3,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.linalg import LinAlgError
 
-from segkernel import invertibility
-from segkernel.errors import BudgetExceeded, NoConvergence, SegkernelError
-from segkernel.lapack import pbtrf, pbtrs, tbtrs
+from segkernel import invertibility, operator1d
+from segkernel.errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
+from segkernel.lapack import gbsv, pbtrf, pbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
@@ -141,16 +140,16 @@ class TestExactNorm:
         elements = [kernel_basis(table, grid).z1]
         calls = []
 
-        def counting_tbtrs(band, b):
-            calls.append(np.shape(band))
-            return tbtrs(band, b)
+        def counting_gbsv(kl, ku, band, b):
+            calls.append((kl, ku, np.shape(band)))
+            return gbsv(kl, ku, band, b)
 
-        monkeypatch.setattr(invertibility, "tbtrs", counting_tbtrs)
+        monkeypatch.setattr(invertibility, "gbsv", counting_gbsv)
         for rows in (1, 2, 3, 41, 128, m, m + 1):
             monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
             calls.clear()
             inv_constant_exact(op, ctx, orth_elements=elements)
-            assert calls == [(5, 2 * m)], rows
+            assert calls == [(0, 4, (5, 2 * m))], rows
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
@@ -341,21 +340,29 @@ class TestEigenvalue:
         assert 0.0 < low <= rho and (rho - low) / rho <= width
 
     def test_no_certificate_factorization(self, table, monkeypatch):
-        # pbtrf runs only for the omega^2 shift, never for the certificate
+        # pbtrf runs only for L(0) of an omega > 0 operator, never for the
+        # certificate
         calls = []
 
         def counting_pbtrf(band):
             calls.append(1)
             return pbtrf(band)
 
-        monkeypatch.setattr(invertibility, "pbtrf", counting_pbtrf)
         grid = Grid(40.0, 3201)
         op = assemble(table, 0.0, grid)
         op.factorization()
+        monkeypatch.setattr(operator1d, "pbtrf", counting_pbtrf)
         smallest_eigenvalue(op)
         assert len(calls) == 0
         smallest_eigenvalue(assemble(table, 0.3, grid))
         assert len(calls) == 1
+
+    def test_omega_operator_left_unbuilt(self, table):
+        # lambda_min of an omega > 0 operator runs on a separate L(0): the
+        # operator's own band and factor are built only when K needs them
+        op = assemble(table, 0.3, Grid(40.0, 3201))
+        smallest_eigenvalue(op)
+        assert "band" not in op.__dict__ and op.smallest_pivot is None
 
     def test_sign_vector_start_converges_fast(self, table, monkeypatch):
         # the lambda_min eigenvector is diag(s) p with p > 0, so the start
@@ -367,7 +374,7 @@ class TestEigenvalue:
             calls.append(1)
             return pbtrs(*args, **kwargs)
 
-        monkeypatch.setattr(invertibility, "pbtrs", counting_solve)
+        monkeypatch.setattr(operator1d, "pbtrs", counting_solve)
         smallest_eigenvalue(op)
         assert len(calls) <= 10
 
@@ -378,14 +385,14 @@ class TestEigenvalue:
         for r_val, n in ((10.0, 4001), (40.0, 3201), (800.0, 64001)):
             grid = Grid(r_val, n)
             op = assemble(table, 0.3, grid)
-            assert np.array_equal(op.shifted_band(0.3 * 0.3),
-                                  assemble(table, 0.0, grid).band)
+            op0 = DiscreteOperator(grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
+            assert np.array_equal(op0.band, assemble(table, 0.0, grid).band)
             lam0 = smallest_eigenvalue(assemble(table, 0.0, grid))
             assert smallest_eigenvalue(op) == lam0 + 0.3 * 0.3, r_val
 
     def test_fallback_when_shifted_factor_fails(self, table):
-        # omega-free potentials pot(0) - 1.5 lambda(0): L - omega^2 I is
-        # indefinite, so the iteration falls back to the cached factor
+        # omega-free potentials pot(0) - 1.5 lambda(0): L(0) is indefinite,
+        # so the iteration falls back to L's own factor
         grid = Grid(10.0, 201)
         omega = 0.3
         op0 = assemble(table, 0.0, grid)
@@ -393,8 +400,11 @@ class TestEigenvalue:
         c = omega * omega - 1.5 * lam0
         op = DiscreteOperator(grid, omega, op0.pot1_0 - 1.5 * lam0,
                               op0.pot2_0 - 1.5 * lam0, op0.coup)
-        with pytest.raises(LinAlgError):
-            pbtrf(op.shifted_band(omega * omega))
+        singular0 = DiscreteOperator(grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
+        with pytest.raises(SingularSystem):
+            singular0.factorization()
+        with pytest.raises(SingularSystem):     # at omega = 0 there is no fallback
+            smallest_eigenvalue(singular0)
         dense = dense_matrix(table, 0.0, grid) + c * np.eye(op.n_unknowns)
         lam_dense = np.linalg.eigvalsh(dense)[0]
         lam = smallest_eigenvalue(op)
@@ -419,12 +429,16 @@ class TestEigenvalue:
             assert lam >= om * om - 1e-4
 
     def test_iteration_cap_raises_with_value(self, table, monkeypatch):
-        op = assemble(table, 0.05, Grid(60.0, 1601))
+        # the iteration runs on L(0); the value carried is its quotient + omega^2
+        grid = Grid(60.0, 1601)
         monkeypatch.setattr(invertibility, "EIG_TOL", 1e-30)
         monkeypatch.setattr(invertibility, "EIG_MAX_ITERS", 5)
-        with pytest.raises(NoConvergence, match="5 iterations") as info:
-            smallest_eigenvalue(op)
-        assert info.value.last_value is not None
+        values = []
+        for omega in (0.0, 0.05):
+            with pytest.raises(NoConvergence, match="5 iterations") as info:
+                smallest_eigenvalue(assemble(table, omega, grid))
+            values.append(info.value.last_value)
+        assert values[1] == values[0] + 0.05 * 0.05
 
 
 def count_iterations(monkeypatch):
@@ -432,9 +446,9 @@ def count_iterations(monkeypatch):
     sizes = []
     iterate = invertibility._certified_eigenvalue
 
-    def counting(op, sigma):
+    def counting(op):
         sizes.append(op.n_unknowns)
-        return iterate(op, sigma)
+        return iterate(op)
 
     monkeypatch.setattr(invertibility, "_certified_eigenvalue", counting)
     return sizes

@@ -62,11 +62,12 @@ def test_inputs_are_not_overwritten():
     rng = np.random.default_rng(1)
     _, ab = spd_band(rng)
     b = rng.standard_normal((12, 2))
+    fab = np.asfortranarray(ab)     # with kl = 0, gbsv passes it to LAPACK uncopied
     ab0, b0 = ab.copy(), b.copy()
     lapack.pbtrs(lapack.pbtrf(ab), b)
     lapack.gbsv(0, 2, ab, b)
-    lapack.tbtrs(ab, b)
-    assert np.array_equal(ab, ab0) and np.array_equal(b, b0)
+    lapack.gbsv(0, 2, fab, b)
+    assert np.array_equal(ab, ab0) and np.array_equal(fab, ab0) and np.array_equal(b, b0)
 
 
 @pytest.mark.parametrize("rhs_shape", [(15,), (15, 3)])
@@ -81,10 +82,11 @@ def test_general_band_with_row_pivoting(rhs_shape):
 
 
 def test_upper_triangular_band():
+    # no subdiagonal: a back substitution
     rng = np.random.default_rng(3)
     u = banded(rng, 14, 0, 2) + np.diag(np.full(14, 2.0))
     b = rng.standard_normal((14, 16))
-    x = lapack.tbtrs(to_band(u, 0, 2), b)
+    x = lapack.gbsv(0, 2, np.asfortranarray(to_band(u, 0, 2)), b)
     assert np.allclose(x, np.linalg.solve(u, b), rtol=0, atol=1e-13)
 
 
@@ -102,8 +104,8 @@ def test_non_finite_input_raises_value_error():
         lambda: lapack.pbtrs(u, bad_b),
         lambda: lapack.gbsv(0, 2, bad_ab, b),
         lambda: lapack.gbsv(0, 2, ab, bad_b),
-        lambda: lapack.tbtrs(bad_ab, b),
-        lambda: lapack.tbtrs(u, bad_b),
+        lambda: lapack.gbsv(0, 2, np.asfortranarray(bad_ab), b),
+        lambda: lapack.gbsv(0, 2, u, bad_b),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -118,10 +120,9 @@ def test_indefinite_and_singular_raise_linalg_error():
         lapack.pbtrf(ab)
     singular = to_band(a, 0, 2)
     singular[2, 4] = 0.0        # zero on the diagonal of a triangle
-    with pytest.raises(np.linalg.LinAlgError):
-        lapack.tbtrs(singular, np.ones(12))
-    with pytest.raises(np.linalg.LinAlgError):
-        lapack.gbsv(0, 2, singular, np.ones(12))
+    for band in (singular, np.asfortranarray(singular)):
+        with pytest.raises(np.linalg.LinAlgError, match="U\\(5,5\\) is zero"):
+            lapack.gbsv(0, 2, band, np.ones(12))
 
 
 def test_mismatched_shapes_raise_value_error():

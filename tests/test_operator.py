@@ -62,9 +62,9 @@ class TestAssembly:
         x = g.interior[-1]          # R - h, far beyond the table
         a = table.asymptotics
         assert op.coup[-1] == 0.0
-        assert op.pot1[-1] == om * om
+        assert op.pot1_0[-1] + op.w2 == om * om
         expected = (a.A * x + a.B) ** 2 + om * om
-        assert np.isclose(op.pot2[-1], expected, rtol=1e-15, atol=0.0)
+        assert np.isclose(op.pot2_0[-1] + op.w2, expected, rtol=1e-15, atol=0.0)
 
     def test_identity_shift(self, table):
         g = Grid(20.0, 1601)

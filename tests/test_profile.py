@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from segkernel import profile
 from segkernel.errors import (
     DegenerateFit,
     NoConvergence,
@@ -144,11 +145,12 @@ class TestAsymptotics:
         ok = (dev[1:] <= dev[:-1]) | (dev[1:] <= 1e-13)
         assert np.all(ok)
 
-    def test_diagnostic_decay_rate(self, table):
+    def test_diagnostic_decay_rate(self, table, monkeypatch):
         # the quasi-Gaussian remainder is resolvable only where the dying
         # component is still above round-off, which forces a contaminated
         # window; the rate is a diagnostic, not a sharp constant
-        a = extract_asymptotics(table, (3.0, 4.4), contamination_tol=1e-4)
+        monkeypatch.setattr(profile, "DEFAULT_TAIL_TOL", 1e-4)
+        a = extract_asymptotics(table, (3.0, 4.4))
         assert math.isfinite(a.c_fit)
         assert a.c_fit > 0
 
