@@ -1,19 +1,23 @@
-"""The three banded LAPACK routines segkernel calls, bound with ctypes.
+"""The five LAPACK routines segkernel calls, bound with ctypes.
 
-`pbtrf` and `pbtrs` give the operator's Cholesky factor and its solves,
-`gbsv` the profile's Newton step and, with no subdiagonal, the one back
-substitution of constrained K, which gives the diagonal and first
-off-diagonal of the inverse.  The symbols come from the LAPACK that
-numpy has already loaded: opening numpy's linalg extension with ctypes
-resolves them through that module's own dependency, so no second LAPACK
-is imported.  On the numpy wheels that is scipy-openblas with 64-bit
-integers and names such as `scipy_dpbtrf_64_`.  Importing the module
-sets that library, when it is an OpenBLAS, to one thread.
+`pttrf` and `pttrs` factor and solve the operator's uncoupled tails (a
+symmetric tridiagonal), `pbtrf` and `pbtrs` its coupled core or, for
+constrained K, its whole band, and `gbsv` gives the profile's Newton
+step and, with no subdiagonal, the one back substitution of constrained
+K, which gives the diagonal and first off-diagonal of the inverse.  The
+symbols come from the LAPACK that numpy has already loaded: opening
+numpy's linalg extension with ctypes resolves them through that
+module's own dependency, so no second LAPACK is imported.  On the numpy
+wheels that is scipy-openblas with 64-bit integers and names such as
+`scipy_dpbtrf_64_`.  Importing the module sets that library, when it is
+an OpenBLAS, to one thread.
 
-Every routine copies its right-hand side and returns a new array.  A
-non-finite input raises ValueError (pbtrs checks only its right-hand
-side: a factor pbtrf made from a finite band is finite), a band that is
-not positive definite or a singular matrix raises
+Every routine but pttrs copies its right-hand side and returns a new
+array; pttrs solves in place in a right-hand side that is already a
+float64 array in Fortran order, which spares its caller's own tail
+vector a copy on every solve.  A non-finite input raises ValueError (pbtrs and pttrs check only their
+right-hand side: a factor made from a finite matrix is finite), a matrix
+that is not positive definite or a singular matrix raises
 numpy.linalg.LinAlgError, and an argument LAPACK rejects raises
 ValueError.  Band storage follows LAPACK: entry (i, j) of the matrix
 sits at row ku + i - j of column j.
@@ -87,6 +91,8 @@ def _bind(routine: str, signature: str, failure: str):
 
 _dpbtrf, _ = _bind("dpbtrf", "ciidi", "{}-th leading minor not positive definite")
 _dpbtrs, _ = _bind("dpbtrs", "ciiididi", "info = {}")
+_dpttrf, _ = _bind("dpttrf", "idd", "{}-th leading minor not positive definite")
+_dpttrs, _ = _bind("dpttrs", "iidddi", "info = {}")
 _dgbsv, _PIVOT = _bind("dgbsv", "iiiidipdi", "singular matrix: U({0},{0}) is zero")
 
 
@@ -97,17 +103,29 @@ def _band(band, rows=None, copy=False) -> np.ndarray:
     return ab
 
 
+def _tridiagonal(d, e, copy=False) -> tuple[np.ndarray, np.ndarray]:
+    """d and e as float64 arrays (new ones if copy), checked to be a
+    diagonal of length n and an off-diagonal of length n - 1."""
+    d = np.array(d, dtype=np.float64, order="F", copy=True if copy else None)
+    e = np.array(e, dtype=np.float64, order="F", copy=True if copy else None)
+    if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
+        raise ValueError(f"need d of length n and e of length n - 1, got {d.shape} and {e.shape}")
+    return d, e
+
+
 def _finite(a: np.ndarray):
-    if not np.isfinite(a).all():
+    # min and max propagate NaN: no temporary the size of a
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _rhs(ab: np.ndarray, b) -> tuple[np.ndarray, int]:
-    """A finite Fortran-order copy of b, checked against the band, and
-    its column count."""
-    x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != ab.shape[1]:
-        raise ValueError(f"shapes of the band {ab.shape} and b {x.shape} are not compatible")
+def _rhs(n: int, b, copy=True) -> tuple[np.ndarray, int]:
+    """b as a finite float64 array in Fortran order (a copy, unless not
+    copy and b is one already), checked against the order n of the
+    matrix, and its column count."""
+    x = np.array(b, dtype=np.float64, order="F", copy=True if copy else None)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"a matrix of order {n} and b {x.shape} are not compatible")
     _finite(x)
     return x, 1 if x.ndim == 1 else x.shape[1]
 
@@ -125,9 +143,31 @@ def pbtrs(factor, b) -> np.ndarray:
     """Solve A x = b from the factor pbtrf returned; b a vector or a
     matrix of columns."""
     ab = _band(factor)
-    x, nrhs = _rhs(ab, b)
     n = ab.shape[1]
+    x, nrhs = _rhs(n, b)
     _dpbtrs(b"U", n, ab.shape[0] - 1, nrhs, ab, ab.shape[0], x, max(1, n))
+    return x
+
+
+def pttrf(d, e) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factor of the symmetric positive definite tridiagonal with
+    diagonal d and off-diagonal e: the pivots D and the subdiagonal of
+    the unit bidiagonal L, as new arrays."""
+    d, e = _tridiagonal(d, e, copy=True)
+    _finite(d)
+    _finite(e)
+    _dpttrf(len(d), d, e)
+    return d, e
+
+
+def pttrs(d, e, b) -> np.ndarray:
+    """Solve A x = b from the pivots and multipliers pttrf returned; b a
+    vector or a matrix of columns, overwritten by x when it is a float64
+    array in Fortran order."""
+    d, e = _tridiagonal(d, e)
+    n = len(d)
+    x, nrhs = _rhs(n, b, copy=False)
+    _dpttrs(n, nrhs, d, e, x, max(1, n))
     return x
 
 
@@ -137,9 +177,9 @@ def gbsv(kl: int, ku: int, band, b) -> np.ndarray:
     kl = 0 that is a back substitution: LAPACK eliminates nothing and only
     reads the band, which is then passed without a copy."""
     ab = a = _band(band, rows=kl + ku + 1)
-    x, nrhs = _rhs(a, b)
-    _finite(a)
     n = a.shape[1]
+    x, nrhs = _rhs(n, b)
+    _finite(a)
     if kl:
         ab = np.zeros((2 * kl + ku + 1, n), order="F")    # kl more rows for the fill-in
         ab[kl:] = a

@@ -10,18 +10,22 @@ Dirichlet endpoints, second-order central differences, and the two
 unknowns interleaved per node, giving a symmetric banded matrix with
 half-bandwidth 2 over the 2(N-2) interior unknowns.  The band is built
 on first use, and the factorization once per operator and reused for
-every solve.
+every solve.  The coupling 2 V1 V2 vanishes where the profile's tail
+extension sets one component to zero, so the factorization eliminates
+those uncoupled tails first, as one tridiagonal, and then Cholesky-
+factors the small coupled core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridMismatch, SingularSystem
-from .lapack import pbtrf, pbtrs
+from .lapack import pbtrf, pbtrs, pttrf, pttrs
 from .profile import ProfileTable, eval_profile
 
 PIVOT_TOL = 1e-13
@@ -97,7 +101,9 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with a cached symmetric factorization.
+    """Assembled banded operator with a cached tail-first factorization;
+    smallest_pivot is the smallest pivot of that elimination, set once
+    it is computed.
 
     It keeps the omega-free potentials; omega^2 enters only the diagonal,
     so L(omega) = L(0) + omega^2 I exactly.
@@ -128,31 +134,83 @@ class DiscreteOperator:
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band
 
-    def factorization(self) -> np.ndarray:
-        """Banded Cholesky factor, computed once.
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Banded Cholesky factor U (L = U^T U) of the whole band in
+        natural order, built on first use: constrained K reads U itself.
+        Raises SingularSystem under the rules of factorization."""
+        factor = _factored(pbtrf, self.band)
+        _smallest_pivot(factor[2] ** 2, self.band)
+        return factor
+
+    def factorization(self) -> TailFirst:
+        """The tail-first factorization, computed once.
+
+        The coupling 2 V1 V2 vanishes outside the core, the hull of the
+        coupled nodes (the last node if there are none), so the rest of
+        L is four tridiagonal chains: left u1 and u2, and right u1 and u2
+        reversed, each ending next to the core.  They go into one
+        tridiagonal with zero joins and one L D L^T factorization.  As
+        the chains are decoupled, the exact Schur complement of the tails
+        takes link^2 / d_end off the core diagonal entry next to each
+        chain's end, link = -1/h^2 the entry of L that joins the two and
+        d_end the chain's last pivot; the core band is then
+        Cholesky-factored.  With no tails that is the Cholesky factor of
+        the whole band.
 
         Raises SingularSystem when the matrix is not numerically
-        positive definite or a pivot falls below
+        positive definite or a pivot of this elimination falls below
         PIVOT_TOL * max(diagonal); the smallest pivot is kept for
         diagnostics (relevant for the flagged omega = 0 regime).
         """
         if self._factor is None:
-            try:
-                factor = pbtrf(self.band)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(f"factorization failed: {exc}") from exc
-            pivots = factor[2] ** 2
-            self.smallest_pivot = float(np.min(pivots))
-            if self.smallest_pivot < PIVOT_TOL * float(np.max(self.band[2])):
-                raise SingularSystem(
-                    f"near-zero pivot {self.smallest_pivot:.3e}"
-                )
-            self._factor = factor
+            band, n, link = self.band, self.grid.N - 2, self.band[0, -1]
+            coupled = band[1, 1::2] != 0.0
+            lo, hi = ((int(coupled.argmax()), n - int(coupled[::-1].argmax()))
+                      if coupled.any() else (n - 1, n))
+            c = 2 * (hi - lo)
+            # (unknowns, core position next to its end, length) per chain
+            chains = [(s, j, k) for s, j, k in (
+                (slice(0, 2 * lo, 2), 0, lo), (slice(1, 2 * lo, 2), 1, lo),
+                (slice(2 * n - 2, 2 * hi - 1, -2), c - 2, n - hi),
+                (slice(2 * n - 1, 2 * hi, -2), c - 1, n - hi)) if k]
+            slices = tuple(s for s, _, _ in chains)
+            joins = np.array([j for _, j, _ in chains], dtype=int)
+            lengths = [k for _, _, k in chains]
+            ends = np.cumsum(lengths, dtype=int) - 1
+            e = np.full(sum(lengths), link)
+            e[ends] = 0.0       # the joins between chains
+            d, e = _factored(pttrf, _gather(band[2], slices), e[:-1])
+            core = band[:, 2 * lo:2 * hi].copy()
+            np.subtract.at(core[2], joins, link ** 2 / d[ends])
+            factor = _factored(pbtrf, core)
+            self.smallest_pivot = _smallest_pivot(np.concatenate((d, factor[2] ** 2)), band)
+            unit = np.zeros(len(d))
+            unit[ends] = 1.0
+            q = np.split(pttrs(d, e, unit)[:, None], ends[:-1] + 1)
+            self._factor = TailFirst(slices, d, e, q, ends, joins, link,
+                                     slice(2 * lo, 2 * hi), factor)
         return self._factor
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for interleaved interior unknowns; rhs may be a matrix."""
-        return pbtrs(self.factorization(), rhs)
+        """Solve for interleaved interior unknowns; rhs may be a matrix.
+
+        One tail solve t; the core solve, with link * t_end taken off next
+        to each chain's end; and the tails back-corrected by
+        x_chain = t_chain - q_chain * link * x_join."""
+        f = self.factorization()
+        b = np.asarray(rhs, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.n_unknowns:
+            raise ValueError(f"rhs of shape {b.shape} does not fit {self.n_unknowns} unknowns")
+        cols = b.reshape(len(b), -1)
+        t = pttrs(f.d, f.e, _gather(cols, f.chains))
+        core = cols[f.core].copy()
+        np.subtract.at(core, f.joins, f.link * t[f.ends])
+        x = np.empty(cols.shape)
+        x[f.core] = core = pbtrs(f.core_factor, core)
+        for s, part, q, j in zip(f.chains, np.split(t, f.ends[:-1] + 1), f.q, f.joins):
+            x[s] = part - q * (f.link * core[j])
+        return x.reshape(b.shape)
 
     def solve(self, g: PairGridFunction) -> PairGridFunction:
         """Solve L u = g with homogeneous Dirichlet endpoints."""
@@ -172,6 +230,44 @@ class DiscreteOperator:
             self.grid.h ** 2, self.w2, (self.pot1_0, self.pot2_0, self.coup),
             u.comp1, u.comp2)
         return out
+
+
+class TailFirst(NamedTuple):
+    """L factored tail first.  Tail positions run chain by chain, core
+    positions from the core's first unknown."""
+
+    chains: tuple           # each chain's unknowns, a slice
+    d: np.ndarray           # pttrf of the tails
+    e: np.ndarray
+    q: list                 # per chain, tails^-1 (chain end's unit vector), a column
+    ends: np.ndarray        # each chain's last tail position
+    joins: np.ndarray       # the core position next to it
+    link: float             # the entry of L linking the two, -1/h^2
+    core: slice             # the core's unknowns
+    core_factor: np.ndarray  # pbtrf of the core's Schur complement
+
+
+def _gather(v: np.ndarray, chains) -> np.ndarray:
+    """The rows of v along the chains, chain by chain."""
+    return np.concatenate([v[:0]] + [v[s] for s in chains])
+
+
+def _factored(routine, *args):
+    """routine(*args), a LAPACK factorization, with a matrix that is not
+    positive definite reported as SingularSystem."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
+def _smallest_pivot(pivots: np.ndarray, band: np.ndarray) -> float:
+    """The smallest pivot; SingularSystem when it falls below PIVOT_TOL
+    times the largest diagonal entry of band."""
+    smallest = float(np.min(pivots))
+    if smallest < PIVOT_TOL * float(np.max(band[2])):
+        raise SingularSystem(f"near-zero pivot {smallest:.3e}")
+    return smallest
 
 
 def _stencil(h2, w2, pots, u1, u2):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segkernel import invertibility, operator1d
+from segkernel import invertibility
 from segkernel.errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
-from segkernel.lapack import gbsv, pbtrf, pbtrs
+from segkernel.lapack import gbsv, pbtrs
 from segkernel.invertibility import (
     SweepPoint,
     _interior_weights,
@@ -45,6 +45,25 @@ def dense_k(table, op, ctx, elements=None):
     dense = dense_matrix(table, op.omega, op.grid)
     mat = np.linalg.inv(dense) @ p_mat @ np.diag(_interior_weights(op, ctx))
     return float(np.max(np.sum(np.abs(mat), axis=1)))
+
+
+def count_operator_calls(monkeypatch):
+    """Counts, from now on, of the factorizations DiscreteOperator
+    computes (not those it returns from its cache) and of its solves."""
+    calls = {"factorizations": 0, "solves": 0}
+    factorization, solve = DiscreteOperator.factorization, DiscreteOperator.solve_interior
+
+    def counting_factorization(op):
+        calls["factorizations"] += op._factor is None
+        return factorization(op)
+
+    def counting_solve(op, rhs):
+        calls["solves"] += 1
+        return solve(op, rhs)
+
+    monkeypatch.setattr(DiscreteOperator, "factorization", counting_factorization)
+    monkeypatch.setattr(DiscreteOperator, "solve_interior", counting_solve)
+    return calls
 
 
 def eigenvalue_and_bound(op):
@@ -94,7 +113,7 @@ class TestExactNorm:
         for omega in (0.0, 0.5):
             op = assemble(table, omega, grid)
             m = op.n_unknowns
-            solve = op.solve_interior
+            calls = count_operator_calls(monkeypatch)
             for k in (1, 2):
                 elements = [kb.z1, kb.z2][:k]
                 k_dense = dense_k(table, op, ctx, elements)
@@ -102,17 +121,20 @@ class TestExactNorm:
                     for width in (2, 4, 64, m + 2) if rows > 2 else (2, m + 2):
                         shapes = []
 
-                        def counting_solve(rhs):
+                        def counting_pbtrs(factor, rhs):
                             shapes.append(rhs.shape)
-                            return solve(rhs)
+                            return pbtrs(factor, rhs)
 
-                        monkeypatch.setattr(op, "solve_interior", counting_solve)
+                        monkeypatch.setattr(invertibility, "pbtrs", counting_pbtrs)
                         monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
                         monkeypatch.setattr(invertibility, "CHUNK_COLUMNS", width)
                         got = inv_constant_exact(op, ctx, orth_elements=elements)
                         case = (omega, k, rows, width)
                         assert shapes == [(m, k)], case     # the carriers only
                         assert abs(got - k_dense) / k_dense <= 1e-10, case
+            # on the natural-order Cholesky factor: no tail-first factor
+            # and no operator solve
+            assert calls == {"factorizations": 0, "solves": 0}
 
     @pytest.mark.parametrize("n", [201, 200])
     @pytest.mark.parametrize("omega", [0.0, 0.5])
@@ -123,7 +145,7 @@ class TestExactNorm:
         op = assemble(table, omega, grid)
         m = op.n_unknowns
         inv = np.linalg.inv(dense_matrix(table, omega, grid))
-        _, diag, _, anchor = _near_triangles(op.factorization(), np.zeros((m + 2, 1)),
+        _, diag, _, anchor = _near_triangles(op.cholesky, np.zeros((m + 2, 1)),
                                              np.zeros((1, m)), np.ones(m), 1)
         scale = np.max(np.abs(inv))
         assert np.max(np.abs(anchor[:, 0, 0] - np.diag(inv))) <= 1e-12 * scale
@@ -340,22 +362,16 @@ class TestEigenvalue:
         assert 0.0 < low <= rho and (rho - low) / rho <= width
 
     def test_no_certificate_factorization(self, table, monkeypatch):
-        # pbtrf runs only for L(0) of an omega > 0 operator, never for the
-        # certificate
-        calls = []
-
-        def counting_pbtrf(band):
-            calls.append(1)
-            return pbtrf(band)
-
+        # an operator is factored only for L(0) of an omega > 0 operator,
+        # never for the certificate
         grid = Grid(40.0, 3201)
         op = assemble(table, 0.0, grid)
         op.factorization()
-        monkeypatch.setattr(operator1d, "pbtrf", counting_pbtrf)
+        calls = count_operator_calls(monkeypatch)
         smallest_eigenvalue(op)
-        assert len(calls) == 0
+        assert calls["factorizations"] == 0
         smallest_eigenvalue(assemble(table, 0.3, grid))
-        assert len(calls) == 1
+        assert calls["factorizations"] == 1
 
     def test_omega_operator_left_unbuilt(self, table):
         # lambda_min of an omega > 0 operator runs on a separate L(0): the
@@ -368,15 +384,9 @@ class TestEigenvalue:
         # the lambda_min eigenvector is diag(s) p with p > 0, so the start
         # s / sqrt(m) needs few iterations (a random start took 16 here)
         op = assemble(table, 0.0, Grid(160.0, 12801))
-        calls = []
-
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return pbtrs(*args, **kwargs)
-
-        monkeypatch.setattr(operator1d, "pbtrs", counting_solve)
+        calls = count_operator_calls(monkeypatch)
         smallest_eigenvalue(op)
-        assert len(calls) <= 10
+        assert 0 < calls["solves"] <= 10
 
     def test_identity_shift(self, table):
         # the iteration runs on the band of L(0) at every omega, so

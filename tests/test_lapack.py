@@ -1,5 +1,6 @@
-"""The banded LAPACK binding against dense numpy solves, its input
-checks, and the absence of scipy from a CLI process."""
+"""The banded and tridiagonal LAPACK bindings against dense numpy
+solves, their input checks, and the absence of scipy from a CLI
+process."""
 
 import os
 import subprocess
@@ -58,6 +59,28 @@ def test_cholesky_solve_matches_dense(rhs_shape):
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-13)
 
 
+def spd_tridiagonal(rng, n=12):
+    d, e = rng.uniform(3.0, 4.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1), d, e
+
+
+@pytest.mark.parametrize("rhs_shape", [(12,), (12, 1), (12, 5)])
+def test_tridiagonal_solve_matches_dense(rhs_shape):
+    rng = np.random.default_rng(7)
+    a, d, e = spd_tridiagonal(rng)
+    piv, mult = lapack.pttrf(d, e)
+    unit_l = np.eye(12) + np.diag(mult, -1)
+    assert np.allclose(unit_l @ np.diag(piv) @ unit_l.T, a, rtol=0, atol=1e-13)
+    b = rng.standard_normal(rhs_shape)
+    x = lapack.pttrs(piv, mult, b.copy(order="F"))
+    assert x.shape == b.shape
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-13)
+    fortran = b.copy(order="F")         # solved in place
+    assert lapack.pttrs(piv, mult, fortran) is fortran and np.array_equal(fortran, x)
+    empty = lapack.pttrf(np.zeros(0), np.zeros(0))
+    assert lapack.pttrs(*empty, np.zeros((0, 2))).shape == (0, 2)
+
+
 def test_inputs_are_not_overwritten():
     rng = np.random.default_rng(1)
     _, ab = spd_band(rng)
@@ -68,6 +91,13 @@ def test_inputs_are_not_overwritten():
     lapack.gbsv(0, 2, ab, b)
     lapack.gbsv(0, 2, fab, b)
     assert np.array_equal(ab, ab0) and np.array_equal(fab, ab0) and np.array_equal(b, b0)
+    _, d, e = spd_tridiagonal(rng)
+    d0, e0 = d.copy(), e.copy()
+    factor = lapack.pttrf(d, e)
+    factor0 = [f.copy() for f in factor]
+    lapack.pttrs(*factor, b.copy())
+    assert np.array_equal(d, d0) and np.array_equal(e, e0)
+    assert all(np.array_equal(f, f0) for f, f0 in zip(factor, factor0))
 
 
 @pytest.mark.parametrize("rhs_shape", [(15,), (15, 3)])
@@ -106,6 +136,9 @@ def test_non_finite_input_raises_value_error():
         lambda: lapack.gbsv(0, 2, ab, bad_b),
         lambda: lapack.gbsv(0, 2, np.asfortranarray(bad_ab), b),
         lambda: lapack.gbsv(0, 2, u, bad_b),
+        lambda: lapack.pttrf(bad_ab[2], ab[1, 1:]),
+        lambda: lapack.pttrf(ab[2], bad_ab[2, 1:]),
+        lambda: lapack.pttrs(*lapack.pttrf(ab[2], ab[1, 1:]), bad_b),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -118,6 +151,8 @@ def test_indefinite_and_singular_raise_linalg_error():
     ab[2, 6] = -1.0             # a negative diagonal entry: not positive definite
     with pytest.raises(np.linalg.LinAlgError, match="7-th leading minor"):
         lapack.pbtrf(ab)
+    with pytest.raises(np.linalg.LinAlgError, match="7-th leading minor"):
+        lapack.pttrf(ab[2], np.zeros(11))
     singular = to_band(a, 0, 2)
     singular[2, 4] = 0.0        # zero on the diagonal of a triangle
     for band in (singular, np.asfortranarray(singular)):
@@ -132,6 +167,12 @@ def test_mismatched_shapes_raise_value_error():
         lapack.pbtrs(lapack.pbtrf(ab), np.ones(11))
     with pytest.raises(ValueError):
         lapack.gbsv(1, 2, ab, np.ones(12))      # 3 rows hold kl + ku + 1 = 4
+    d, e = lapack.pttrf(ab[2], ab[1, 1:])
+    for bad in (lambda: lapack.pttrs(d, e, np.ones(11)),
+                lambda: lapack.pttrs(d, e[:-1], np.ones(12)),
+                lambda: lapack.pttrf(ab[2], ab[1])):
+        with pytest.raises(ValueError):
+            bad()
 
 
 NO_SCIPY = textwrap.dedent("""
