@@ -36,18 +36,12 @@ class CounterexampleSpec:
     N: int = field(default=0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > math.e):
-            raise ValueError("R must be finite and exceed e so that ln R > 1")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.theta)
-        if self.omega is None:
+        if self.omega is None and self.R > 0:   # R <= 0 is rejected below
             object.__setattr__(self, "omega", self.R ** (-self.alpha))
-        if not math.isfinite(self.omega):
-            raise ValueError("omega (or alpha) must be finite")
-        if self.omega * self.R < 1.0:
-            raise ValueError("need omega * R >= 1")
+        if fault := construction_fault(self.R, self.theta, self.omega):
+            raise ValueError(fault)
         if self.N == 0:
             object.__setattr__(self, "N", default_node_count(self.R))
         if self.N % 2 == 0:
@@ -56,6 +50,17 @@ class CounterexampleSpec:
     @property
     def grid(self) -> Grid:
         return Grid(self.R, self.N)
+
+
+def construction_fault(R: float, theta: float, omega: float) -> str:
+    """The rule of the construction that (R, theta, omega) breaks, or ""."""
+    if not (math.isfinite(R) and R > math.e):
+        return "R must be finite and exceed e so that ln R > 1"
+    if not (0.0 < theta < 1.0):
+        return "theta must lie in (0, 1)"
+    if not math.isfinite(omega):
+        return "omega (or alpha) must be finite"
+    return "" if omega * R >= 1.0 else "need omega * R >= 1"
 
 
 def default_node_count(R: float) -> int:
@@ -220,7 +225,10 @@ def lower_bound_from_counterexample(
 ) -> float:
     """Certified-style lower bound on K(omega, R, theta):
     ||phi||_inf / ||L phi||_theta for the glued pair at this (omega, R),
-    on the spec grid only (no doubled-resolution gate)."""
+    on the spec grid only (no doubled-resolution gate); nan where the
+    construction does not apply (construction_fault)."""
+    if construction_fault(R, theta, omega):
+        return math.nan
     spec = CounterexampleSpec(
         R=R, theta=theta, omega=omega, N=N or default_node_count(R)
     )

@@ -146,13 +146,13 @@ def inv_constant_exact(
     row sums are s * solve(s * w).
 
     Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
-    T = L^-1, y = solve(carriers) and g^T = gram_inv @ zrows; no unit
+    T = L^-1, y = L^-1 carriers and g^T = gram_inv @ zrows; no unit
     column is solved and T is never formed.  With L = U^T U, U =
-    op.cholesky (which also solves the carriers), (U T)_ij = 0 for j > i:
-    past its diagonal, each row of T is a combination of the two rows
-    below it.  Rows go in tiles of TILE_ROWS
-    from the bottom up, the two rows a below a tile its anchor, and the
-    work is split in three:
+    op.cholesky (which also solves the carriers, not op.solve_interior:
+    M cancels T against y g^T, so both need one factor), (U T)_ij = 0
+    for j > i: past its diagonal, each row of T is a combination of the
+    two rows below it.  Rows go in tiles of TILE_ROWS from the bottom up,
+    the two rows a below a tile its anchor, and the work is split in three:
 
     1. _near_triangles: the diagonal and first off-diagonal of T, from
        the same relation at j = i and j = i + 1 (Takahashi, Fagan & Chin
@@ -476,10 +476,8 @@ def run_sweep_entry(
             k_val = inv_constant_estimate(
                 op, ctx, orth_elements=elements, seed=estimator_seed
             )
-        if point.omega > 0 and point.omega * point.R >= 1.0:
-            ce = lower_bound_from_counterexample(
-                p, point.theta, point.omega, point.R, point.N
-            )
+        ce = lower_bound_from_counterexample(p, point.theta, point.omega,
+                                             point.R, point.N)
     except SegkernelError as exc:
         err = f"{type(exc).__name__}: {exc}"
     except ValueError as exc:

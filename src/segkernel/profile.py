@@ -40,6 +40,8 @@ DEFAULT_TAIL_TOL = 1e-12
 # beyond the first crossing the table switches to the matched decay model.
 TAIL_TRUST_FLOOR = 1e-13
 
+MAX_NEWTON_STEPS, MAX_HALVINGS = 80, 30      # Newton steps, dampings per step
+
 CACHE_HEADER = "segkernel-profile v1"
 
 
@@ -143,24 +145,24 @@ def _half_line_jacobian_banded(v1, v2, h):
     return ab
 
 
-def _newton_half_line(x, max_iters=80, max_halvings=30):
+def _newton_half_line(x):
     """Damped Newton, run to the round-off floor of the residual.
 
-    Stops once the sup-norm residual stalls (the floor is set by value
-    quantization: ~2 ulp(v1) / h^2 in the affine zone) and returns the
-    iterate with its sup residual; reaching newton_tol is judged by the
-    caller after postprocessing.
+    A step is taken at the first damping 1, 1/2, 1/4, ... that lowers the
+    sup-norm residual at all.  Newton stops at the first step none lowers
+    (the iterate is unchanged, so a retry would repeat it): on convergence
+    the round-off floor, ~2 ulp(v1) / h^2 in the affine zone.  Returns the
+    iterate and its sup residual; newton_tol is judged by the caller.
     """
     h = x[1] - x[0]
     v1, v2 = _initial_guess(x)
     res = _half_line_residual(v1, v2, h)
     sup = np.max(np.abs(res))
-    stalls = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_NEWTON_STEPS):
         ab = _half_line_jacobian_banded(v1, v2, h)
         step = gbsv(4, 2, ab, -res)
         t = 1.0
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             v1_new = v1 + t * step[0::2]
             v2_new = v2 + t * step[1::2]
             res_new = _half_line_residual(v1_new, v2_new, h)
@@ -168,16 +170,9 @@ def _newton_half_line(x, max_iters=80, max_halvings=30):
             if sup_new < sup:
                 break
             t *= 0.5
-        if sup_new >= 0.9 * sup:
-            stalls += 1
-            if stalls >= 2:
-                break
         else:
-            stalls = 0
-        if sup_new < sup:
-            v1, v2, res, sup = v1_new, v2_new, res_new, sup_new
-        if sup <= 1e-14:
             break
+        v1, v2, res, sup = v1_new, v2_new, res_new, sup_new
     return v1, v2, sup
 
 
@@ -273,13 +268,9 @@ def _table_derivatives(xs, v1, v2):
     dv1 = centered(v1)
     dv2 = centered(v2)
     for comp, d in ((v1, dv1), (v2, dv2)):
+        pts = comp[-5:][::-1]
         for back, w in _EDGE_STENCILS.items():
-            j = n - 1 - back
-            if back == 0:
-                pts = comp[j - 4: j + 1][::-1]
-            else:
-                pts = np.concatenate([[comp[j + 1]], comp[j - 3: j + 1][::-1]])
-            d[j] = np.dot(w, pts) / h
+            d[n - 1 - back] = np.dot(w, pts) / h
     # overwrite the left half with the exact mirror of the right half:
     # v1(-x) = v2(x) implies dv1(-x) = -dv2(x), bit for bit
     j0 = (n - 1) // 2

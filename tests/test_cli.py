@@ -127,6 +127,21 @@ class TestSweepCommand:
         row = [l for l in read_lines(out) if not l.startswith("#")][1]
         assert row.split(",")[5] == "one"
 
+    @pytest.mark.parametrize("point", [
+        ["--theta", "1.5", "--omega", "0.2", "--omegaR", "10", "--N", "801"],
+        ["--omega", "1", "--R", "2", "--N", "401"],
+    ], ids=["theta-above-one", "R-below-e"])
+    def test_counterexample_bound_undefined(self, cache_dir, tmp_path, capsys, point):
+        # K and lambda_min are computed; the construction needs 0 < theta < 1
+        # and R > e, so its bound is nan, as for omega * R < 1: no error
+        out = tmp_path / "undefined.csv"
+        code = main(["sweep", *common_args(cache_dir), *point, "--out", str(out)])
+        assert code == 0
+        assert "error" not in capsys.readouterr().err
+        row = [l for l in read_lines(out) if not l.startswith("#")][1].split(",")
+        assert float(row[6]) > 0 and float(row[9]) > 0      # K, lambda_min
+        assert row[10] == "nan"
+
 
 class TestEigCommand:
     def test_table(self, cache_dir, tmp_path):

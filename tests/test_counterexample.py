@@ -174,6 +174,15 @@ class TestResidual:
         bound = lower_bound_from_counterexample(table, 0.5, 0.2, 50.0, 4001)
         assert bound > 0.01 / 0.2
 
+    @pytest.mark.parametrize("theta, omega, R", [
+        (1.5, 0.2, 50.0), (0.5, 1.0, 2.0), (0.5, 0.01, 50.0), (0.5, 0.0, 50.0),
+    ], ids=["theta", "R", "omegaR", "omega-zero"])
+    def test_lower_bound_nan_where_construction_fails(self, table, theta, omega, R):
+        # the spec's own rules decide, and the bound is nan there, not an error
+        with pytest.raises(ValueError):
+            CounterexampleSpec(R=R, theta=theta, omega=omega)
+        assert math.isnan(lower_bound_from_counterexample(table, theta, omega, R))
+
     @pytest.mark.parametrize("omega, R", [(0.2, 50.0), (0.05, 400.0)])
     def test_lower_bound_is_the_coarse_quotient(self, table, omega, R):
         # ||phi||_inf / (omega r) at the spec grid, bit for bit, from one

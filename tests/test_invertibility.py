@@ -130,10 +130,12 @@ class TestExactNorm:
                         monkeypatch.setattr(invertibility, "CHUNK_COLUMNS", width)
                         got = inv_constant_exact(op, ctx, orth_elements=elements)
                         case = (omega, k, rows, width)
-                        assert shapes == [(m, k)], case     # the carriers only
+                        # the carriers only, on the Cholesky factor that gives
+                        # L^-1: M cancels L^-1 against y g^T, so y must come
+                        # from the same factor, not from the tail-first solve
+                        assert shapes == [(m, k)], case
                         assert abs(got - k_dense) / k_dense <= 1e-10, case
-            # on the natural-order Cholesky factor: no tail-first factor
-            # and no operator solve
+            # no tail-first factor and no operator solve
             assert calls == {"factorizations": 0, "solves": 0}
 
     @pytest.mark.parametrize("n", [201, 200])

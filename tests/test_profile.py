@@ -87,6 +87,29 @@ class TestSolve:
         ratio = diffs[0] / diffs[1]
         assert 3.5 <= ratio <= 4.5
 
+    @pytest.mark.parametrize("N", [2001, 4001])
+    def test_damped_phase_runs_to_the_floor(self, N):
+        # at T = 20 the damped steps lower the residual by only ~6% each
+        # (9.73 -> 9.14 -> 8.60): Newton must keep going, not stop there
+        p = solve_profile(T=20.0, N=N, newton_tol=1e-9)
+        assert discrete_residual(p) <= 1e-9
+
+    def test_no_newton_step_retried(self, monkeypatch):
+        # a rejected step leaves the iterate unchanged, so the next step
+        # would be the same one: Newton stops at the first rejected step
+        rhs = []
+        gbsv = profile.gbsv
+
+        def recording_gbsv(kl, ku, band, b):
+            rhs.append(np.array(b, copy=True))
+            return gbsv(kl, ku, band, b)
+
+        monkeypatch.setattr(profile, "gbsv", recording_gbsv)
+        solve_profile()
+        assert len(rhs) >= 2
+        for prev, cur in zip(rhs, rhs[1:]):
+            assert not np.array_equal(prev, cur)
+
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(NoConvergence):
             solve_profile(T=12.0, N=1201, newton_tol=1e-15)
