@@ -253,12 +253,8 @@ def cmd_eig(args) -> int:
     for om in omegas:
         for r_val in r_list:
             n = args.N or default_node_count(r_val)
-            grid = Grid(r_val, n)
             try:
-                if grid in shared:      # lambda(omega) = lambda(0) + omega^2
-                    lam = shared[grid] + om * om
-                else:
-                    lam = smallest_eigenvalue(assemble(table, om, grid), shared)
+                lam = smallest_eigenvalue(assemble(table, om, Grid(r_val, n)), shared)
             except SegkernelError as exc:
                 print(f"error at omega={om}, R={r_val}: {exc}", file=sys.stderr)
                 code = EXIT_NUMERICAL
@@ -337,14 +333,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Flags override config-file entries, which override defaults."""
+def _apply_config_file(argv):
+    """Read --config PATH (or --config=PATH) out of argv and put the
+    file's entries right after the command, ahead of the flags: argparse
+    keeps the last value, so flags, in either spelling, override the
+    file, which overrides defaults."""
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 == len(argv):
         raise ValueError("--config needs a file path")
-    path = argv[i + 1]
+    path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
     with open(path) as fh:
         cfg = json.load(fh)
     injected = []
@@ -352,26 +352,23 @@ def _apply_config_file(parser, argv):
         if key == "command":
             continue
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
         if isinstance(val, bool):
             if val:
                 injected.append(flag)
         else:
             injected.extend([flag, str(val)])
     command = cfg.get("command")
-    rest = [a for j, a in enumerate(argv) if j not in (i, i + 1)]
     if command and (not rest or rest[0] not in
                     ("profile", "solve", "counterexample", "sweep", "eig")):
         rest = [command] + rest
-    return rest + injected
+    return rest[:1] + injected + rest[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
     except (OSError, ValueError) as exc:     # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

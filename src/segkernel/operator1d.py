@@ -156,7 +156,10 @@ class DiscreteOperator:
         chain's end, link = -1/h^2 the entry of L that joins the two and
         d_end the chain's last pivot; the core band is then
         Cholesky-factored.  With no tails that is the Cholesky factor of
-        the whole band.
+        the whole band.  A chain's response q to the unit vector u at its
+        end needs no solve: the unit lower factor leaves u as it is, so
+        L^T q = u / d_end, and q is 1/d_end times the running product of
+        -e taken back from the end, the recurrence pttrs would run.
 
         Raises SingularSystem when the matrix is not numerically
         positive definite or a pivot of this elimination falls below
@@ -185,9 +188,8 @@ class DiscreteOperator:
             np.subtract.at(core[2], joins, link ** 2 / d[ends])
             factor = _factored(pbtrf, core)
             self.smallest_pivot = _smallest_pivot(np.concatenate((d, factor[2] ** 2)), band)
-            unit = np.zeros(len(d))
-            unit[ends] = 1.0
-            q = np.split(pttrs(d, e, unit)[:, None], ends[:-1] + 1)
+            q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n_k:k][::-1]))[::-1, None]
+                 for k, n_k in zip(ends, lengths)]
             self._factor = TailFirst(slices, d, e, q, ends, joins, link,
                                      slice(2 * lo, 2 * hi), factor)
         return self._factor

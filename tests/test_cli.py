@@ -5,6 +5,7 @@ import pytest
 
 from segkernel import invertibility
 from segkernel.cli import main
+from segkernel.errors import NoConvergence
 from segkernel.invertibility import SweepPoint, run_sweep, smallest_eigenvalue
 from segkernel.operator1d import Grid, assemble
 from segkernel.profile import load_profile
@@ -142,6 +143,26 @@ class TestSweepCommand:
         assert float(row[6]) > 0 and float(row[9]) > 0      # K, lambda_min
         assert row[10] == "nan"
 
+    def test_eigenvalue_failure_exit_code_with_rows_written(self, cache_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        # two inverse-iteration steps cannot converge: each row reports its
+        # error and is still written, with K and the last Rayleigh quotient
+        monkeypatch.setattr(invertibility, "EIG_MAX_ITERS", 2)
+        out = tmp_path / "fail.csv"
+        code = main(["sweep", *common_args(cache_dir), "--omega", "0.2,0.1",
+                     "--R", "10", "--N", "401", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [l.split(": NoConvergence: ")[0] for l in err] == [
+            "error at omega=0.2, R=10.0", "error at omega=0.1, R=10.0"]
+        rows = [l.split(",") for l in read_lines(out) if not l.startswith("#")][1:]
+        assert [(r[1], r[2]) for r in rows] == [("0.2", "10.0"), ("0.1", "10.0")]
+        table = load_profile(os.path.join(cache_dir, os.listdir(cache_dir)[0]))
+        for row in rows:
+            with pytest.raises(NoConvergence) as exc:
+                smallest_eigenvalue(assemble(table, float(row[1]), Grid(10.0, 401)))
+            assert float(row[6]) > 0 and float(row[9]) == exc.value.last_value
+
 
 class TestEigCommand:
     def test_table(self, cache_dir, tmp_path):
@@ -187,6 +208,18 @@ class TestEigCommand:
             assert lam == smallest_eigenvalue(assemble(table, om, Grid(r_val, int(n))))
             assert lam == rec.lambda_min
 
+    def test_eigenvalue_failure_exit_code(self, cache_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(invertibility, "EIG_MAX_ITERS", 2)
+        out = tmp_path / "fail.csv"
+        code = main(["eig", *common_args(cache_dir), "--omega", "0,0.1",
+                     "--R", "10", "--N", "401", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [l.split(": eigenvalue iteration hit 2 iterations")[0] for l in err] == [
+            "error at omega=0.0, R=10.0", "error at omega=0.1, R=10.0"]
+        assert [l for l in read_lines(out) if not l.startswith("#")] == [
+            "omega,R,N,lambda_min"]
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, cache_dir, tmp_path):
@@ -205,6 +238,33 @@ class TestConfigAndErrors:
                      "--theta", "0.6"]) == 0
         lines2 = read_lines(tmp_path / "o2.csv")
         assert any(l == "# theta=0.6" for l in lines2)
+        # and so does a flag written --key=value
+        assert main(["--config", str(path), f"--out={tmp_path / 'o3.csv'}",
+                     "--theta=0.6"]) == 0
+        assert "# theta=0.6" in read_lines(tmp_path / "o3.csv")
+
+    @pytest.fixture
+    def eig_config(self, cache_dir, tmp_path):
+        cfg = {
+            "command": "eig", "omega": "0.1", "R": "10", "N": 201, "T": 12,
+            "N-profile": 1201, "newton-tol": 1e-9, "cache-dir": cache_dir, "out": "-",
+        }
+        path = tmp_path / "eig.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_config_equals_path(self, eig_config, capsys):
+        assert main(["--config", str(eig_config)]) == 0
+        want = capsys.readouterr().out
+        assert "# omega=0.1" in want.splitlines()
+        assert main([f"--config={eig_config}"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_equals_flags_override_config(self, eig_config, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(eig_config), f"--out={out}", "--omega=0.3"]) == 0
+        assert capsys.readouterr().out == ""
+        assert "# omega=0.3" in read_lines(out)
 
     def test_usage_errors(self, cache_dir, tmp_path, capsys):
         out = ["--out", str(tmp_path / "x.csv")]

@@ -4,8 +4,9 @@ eliminated as one tridiagonal, then the coupled core as a band."""
 import numpy as np
 import pytest
 
+from segkernel import operator1d
 from segkernel.errors import SingularSystem
-from segkernel.lapack import pbtrf, pbtrs
+from segkernel.lapack import pbtrf, pbtrs, pttrs
 from segkernel.operator1d import DiscreteOperator, Grid, assemble
 from oracles import band_to_dense, dense_matrix
 
@@ -32,6 +33,19 @@ def custom_operator(grid, coupled):
     n = grid.N - 2
     coup = np.where(coupled, rng.uniform(0.1, 1.0, n), 0.0)
     return DiscreteOperator(grid, 0.3, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n), coup)
+
+
+def layout_operator(table, layout):
+    """The profile's operator at omega = 0.1 on Grid(R, N) for layout =
+    (R, N); else custom_operator on Grid(10, 101), coupled nowhere, left
+    of x = 2, right of x = -3, or at one node."""
+    if isinstance(layout, tuple):
+        return assemble(table, 0.1, Grid(*layout))
+    grid = Grid(10.0, 101)
+    x = grid.interior
+    coupled = {"none": np.zeros(len(x), bool), "left": x < 2.0, "right": x > -3.0,
+               "one node": np.arange(len(x)) == 40}[layout]
+    return custom_operator(grid, coupled)
 
 
 @pytest.mark.parametrize("n", [201, 200])
@@ -80,16 +94,49 @@ def test_uncoupled_and_one_sided_coupling(where):
     # no coupling at all: the core is the last node; coupling on one side,
     # up to the grid's end: two chains; at one node, the left and right
     # chains of a component join the same core unknown
-    grid = Grid(10.0, 101)
-    x = grid.interior
-    coupled = {"none": np.zeros(len(x), bool), "left": x < 2.0, "right": x > -3.0,
-               "one node": np.arange(len(x)) == 40}[where]
-    op = custom_operator(grid, coupled)
+    op = layout_operator(None, where)
     f = op.factorization()
     assert len(f.chains) == {"none": 2, "left": 2, "right": 2, "one node": 4}[where]
     b = rhs(op.n_unknowns, 2)
     want = np.linalg.solve(band_to_dense(op), b)
     assert np.max(np.abs(op.solve_interior(b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("layout", [(50.0, 4001), (50.0, 4000), (800.0, 64001),
+                                    (160.0, 12800), "none", "left", "right", "one node"],
+                         ids=lambda l: l if isinstance(l, str) else "R%g-N%d" % l)
+def test_tail_response_needs_no_solve(table, monkeypatch, layout):
+    # q, each chain's response to its end's unit vector, is 1/d_end times
+    # a running product of -e: the tail solve of those unit vectors to the bit
+    op = layout_operator(table, layout)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pttrs(*args)
+
+    monkeypatch.setattr(operator1d, "pttrs", counting)
+    f = op.factorization()
+    assert calls == [] and len(f.q) == len(f.chains) > 0
+    unit = np.zeros(len(f.d))
+    unit[f.ends] = 1.0
+    want = np.split(pttrs(f.d, f.e, unit), f.ends[:-1] + 1)
+    for q, w in zip(f.q, want):
+        assert q.shape == (len(w), 1)
+        assert np.array_equal(q[:, 0], w)
+
+
+@pytest.mark.parametrize("layout", [(10.0, 401), (50.0, 4001)], ids=["no-tails", "tails"])
+def test_pivot_rule_raises_and_keeps_no_pivot(table, monkeypatch, layout):
+    # every pivot lies below 1.0 * max(diagonal): both factorizations
+    # refuse, and smallest_pivot stays None ("not factored yet")
+    monkeypatch.setattr(operator1d, "PIVOT_TOL", 1.0)
+    op = layout_operator(table, layout)
+    assert np.all(op.coup != 0.0) == (layout[0] == 10.0)
+    for factor in (op.factorization, lambda: op.cholesky):
+        with pytest.raises(SingularSystem, match="near-zero pivot"):
+            factor()
+        assert op.smallest_pivot is None
 
 
 @pytest.mark.parametrize("node", [3, 50])
