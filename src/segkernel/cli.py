@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_out:
             sp.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
 
-    sp = sub.add_parser("profile", help="solve and cache the profile table")
+    sp = sub.add_parser("profile", help="solve the profile; --out writes its binary cache file")
     common(sp, needs_out=False)
     sp.add_argument("--N", dest="N_profile", type=int,
                     default=argparse.SUPPRESS, help="alias for --N-profile")
@@ -347,6 +347,8 @@ def _apply_config_file(argv):
     path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
     injected = []
     for key, val in cfg.items():
         if key == "command":

@@ -42,7 +42,7 @@ TAIL_TRUST_FLOOR = 1e-13
 
 MAX_NEWTON_STEPS, MAX_HALVINGS = 80, 30      # Newton steps, dampings per step
 
-CACHE_HEADER = "segkernel-profile v1"
+CACHE_HEADER = "segkernel-profile v2"
 
 
 @dataclass(frozen=True)
@@ -475,21 +475,16 @@ def eval_profile(p: ProfileTable, x):
 
 
 def save_profile(p: ProfileTable, path):
-    """Write the versioned text cache format."""
-    lines = [CACHE_HEADER]
+    """Write the versioned cache: the header and metadata lines as text,
+    then the N rows (x, v1, dv1, v2, dv2) as raw little-endian float64."""
     a = p.asymptotics
-    lines.append(
-        f"{p.half_length:.17g} {p.n_nodes} {p.newton_tol:.17g} "
-        f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}"
-    )
-    cols = np.column_stack([p.nodes, p.v1, p.dv1, p.v2, p.dv2])
-    for i in range(0, len(cols), 256):     # as Python floats, a block of rows at a time
-        lines += ["%.17g %.17g %.17g %.17g %.17g" % tuple(row)
-                  for row in cols[i:i + 256].tolist()]
+    header = (f"{CACHE_HEADER}\n{p.half_length:.17g} {p.n_nodes} {p.newton_tol:.17g} "
+              f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}\n")
+    cols = np.column_stack([p.nodes, p.v1, p.dv1, p.v2, p.dv2]).astype("<f8")
     tmp = f"{path}.{os.getpid()}.tmp"    # renamed over path: never read half-written
     try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode() + cols.tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -497,19 +492,21 @@ def save_profile(p: ProfileTable, path):
 
 
 def load_profile(path) -> ProfileTable:
-    """Read a cache file written by save_profile."""
-    with open(path) as fh:
+    """Read a cache file written by save_profile; ValueError unless it
+    holds exactly N finite rows whose refitted A matches the header."""
+    with open(path, "rb") as fh:
         header = fh.readline().strip()
-        if header != CACHE_HEADER:
+        if header != CACHE_HEADER.encode():
             raise ValueError(f"not a profile cache file: header {header!r}")
         meta = fh.readline().split()
         if len(meta) != 6:
             raise ValueError(f"cache file metadata line has {len(meta)} fields, not 6")
         T, n, tol = float(meta[0]), int(meta[1]), float(meta[2])
         a_hdr, b_hdr, c_hdr = float(meta[3]), float(meta[4]), float(meta[5])
-        data = np.loadtxt(fh)
-    if data.shape != (n, 5):
-        raise ValueError(f"expected {n} rows of 5 columns, got {data.shape}")
+        payload = fh.read()
+    if len(payload) != 40 * n:
+        raise ValueError(f"expected {40 * n} bytes of {n} rows, got {len(payload)}")
+    data = np.frombuffer(payload, "<f8").reshape(n, 5).astype(float)   # writable copy
     # c_fit is legitimately inf; a NaN anywhere else would pass the A check below
     if not (np.isfinite(data).all() and np.isfinite([T, tol, a_hdr, b_hdr]).all()):
         raise ValueError("cache file holds a non-finite value")
@@ -532,7 +529,7 @@ def load_profile(path) -> ProfileTable:
 
 
 def cache_path(cache_dir, T: float, N: int, newton_tol: float) -> str:
-    return os.path.join(cache_dir, f"profile_T{T:g}_N{N}_tol{newton_tol:g}.txt")
+    return os.path.join(cache_dir, f"profile_T{T:g}_N{N}_tol{newton_tol:g}.bin")
 
 
 def get_profile(
@@ -546,8 +543,8 @@ def get_profile(
     The file name rounds T and newton_tol, so a cached table is served
     only when its header matches the request exactly; otherwise the
     table is solved fresh and the file is left alone.  A file that does
-    not load (truncated or corrupt) is a miss: the table is solved and
-    the file rewritten.
+    not load (truncated, corrupt, or a fit window its values spoil) is a
+    miss: the table is solved and the file rewritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("SEGKERNEL_CACHE")
@@ -558,7 +555,7 @@ def get_profile(
     if os.path.exists(path):
         try:
             table = load_profile(path)
-        except ValueError:          # truncated or corrupt: rewritten below
+        except (ValueError, DegenerateFit, WindowTooContaminated):    # rewritten below
             pass
         else:
             if (table.half_length, table.n_nodes, table.newton_tol) == (T, N, newton_tol):

@@ -36,9 +36,25 @@ def read_lines(path):
 class TestProfileCommand:
     def test_cache_written_and_loadable(self, cache_dir, capsys):
         files = os.listdir(cache_dir)
-        assert files == ["profile_T12_N1201_tol1e-09.txt"]
+        assert files == ["profile_T12_N1201_tol1e-09.bin"]
         table = load_profile(os.path.join(cache_dir, files[0]))
         assert table.n_nodes == 1201
+
+    def test_cache_changes_no_output(self, tmp_path, monkeypatch):
+        # eig and sweep on a table read from the cache write the bytes they
+        # write on one solved in the process
+        monkeypatch.delenv("SEGKERNEL_CACHE", raising=False)
+        cache = str(tmp_path / "cache")
+        profile = ["--T", "12", "--N-profile", "1201", "--newton-tol", "1e-9"]
+        assert main(["profile", *profile, "--out", cache]) == 0
+        for argv in (["eig", "--omega", "0,0.3", "--R", "10", "--N", "201"],
+                     ["sweep", "--omega", "0,0.2", "--R", "10", "--N", "201",
+                      "--orth-mode", "one", "--method", "estimated"]):
+            cached, solved = tmp_path / "cached.csv", tmp_path / "solved.csv"
+            assert main([*argv, *profile, "--cache-dir", cache, "--out", str(cached)]) == 0
+            assert main([*argv, *profile, "--out", str(solved)]) == 0
+            assert cached.read_bytes() == solved.read_bytes()
+        assert os.listdir(cache) == ["profile_T12_N1201_tol1e-09.bin"]
 
     def test_prints_constants(self, tmp_path, capsys):
         code = main(["profile", "--T", "12", "--N-profile", "1201",
@@ -290,6 +306,14 @@ class TestConfigAndErrors:
             assert code == 1, argv
             assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
             assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config file must hold a JSON object\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -222,27 +223,80 @@ class TestEval:
         assert abs(inside[2]) <= DEFAULT_TAIL_TOL
 
 
+def v1_text(p):
+    """The retired text cache layout: header, metadata, N rows of %.17g."""
+    a = p.asymptotics
+    lines = ["segkernel-profile v1",
+             f"{p.half_length:.17g} {p.n_nodes} {p.newton_tol:.17g} "
+             f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}"]
+    lines += [" ".join(f"{v:.17g}" for v in row)
+              for row in zip(p.nodes, p.v1, p.dv1, p.v2, p.dv2)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def head_length(data):
+    """Bytes of the two text lines in front of the float64 payload."""
+    return data.index(b"\n", data.index(b"\n") + 1) + 1
+
+
+def nan_in_dv2(full):
+    """dv2 (column 4) of the middle row (600 of 1201) set to NaN."""
+    at = head_length(full) + 40 * 600 + 8 * 4
+    return full[:at] + struct.pack("<d", math.nan) + full[at + 8:]
+
+
+def nan_in_a(full):
+    """The header's A, which would otherwise pass the refit check, set to nan."""
+    lines = full.split(b"\n", 2)
+    meta = lines[1].split()
+    assert meta[5] == b"inf"        # c_fit: inf is not a corruption
+    meta[3] = b"nan"
+    return b"\n".join([lines[0], b" ".join(meta), lines[2]])
+
+
 class TestCache:
+    def get(self, tmp_path):
+        return get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
+
+    def assert_rewritten(self, tmp_path, damaged, match=None, raises=ValueError):
+        """A damaged cache file does not load, and get_profile solves the
+        table again and rewrites the file bit for bit."""
+        first = self.get(tmp_path)
+        (path,) = tmp_path.iterdir()
+        full = path.read_bytes()
+        path.write_bytes(damaged(full))
+        with pytest.raises(raises, match=match):
+            load_profile(path)
+        again = self.get(tmp_path)
+        for name in ("nodes", "v1", "v2", "dv1", "dv2"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.asymptotics.A == first.asymptotics.A
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == full
+
     def test_round_trip_exact(self, table, tmp_path):
-        path = tmp_path / "profile.txt"
+        path = tmp_path / "profile.bin"
         save_profile(table, path)
         loaded = load_profile(path)
         for name in ("nodes", "v1", "v2", "dv1", "dv2"):
             assert np.array_equal(getattr(loaded, name), getattr(table, name))
+            assert getattr(loaded, name).flags.writeable
         assert loaded.asymptotics.A == table.asymptotics.A
         assert loaded.asymptotics.B == table.asymptotics.B
+        assert loaded.asymptotics.c_fit == table.asymptotics.c_fit
 
     def test_cache_bytes_match_per_value_format(self, table, tmp_path):
-        # the row formatter writes what formatting each value alone did
-        path = tmp_path / "profile.txt"
+        # two text lines, then each row's five values as little-endian doubles
+        path = tmp_path / "profile.bin"
         save_profile(table, path)
         a = table.asymptotics
-        lines = [CACHE_HEADER,
-                 f"{table.half_length:.17g} {table.n_nodes} {table.newton_tol:.17g} "
-                 f"{a.A:.17g} {a.B:.17g} {a.c_fit:.17g}"]
-        cols = np.column_stack([table.nodes, table.v1, table.dv1, table.v2, table.dv2])
-        lines += [" ".join(f"{v:.17g}" for v in row) for row in cols]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        head = (f"segkernel-profile v2\n{table.half_length:.17g} {table.n_nodes} "
+                f"{table.newton_tol:.17g} {a.A:.17g} {a.B:.17g} {a.c_fit:.17g}\n")
+        assert CACHE_HEADER == "segkernel-profile v2"
+        rows = zip(table.nodes, table.v1, table.dv1, table.v2, table.dv2)
+        payload = b"".join(struct.pack("<5d", *row) for row in rows)
+        assert len(payload) == 40 * table.n_nodes
+        assert path.read_bytes() == head.encode() + payload
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bogus.txt"
@@ -268,41 +322,41 @@ class TestCache:
         assert path.read_bytes() == before
 
     def test_truncated_cache_is_rewritten(self, tmp_path):
-        first = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        full = path.read_bytes()
-        # mid-table and mid-metadata-line cuts
-        for cut in (len(full) // 2, 30):
-            path.write_bytes(full[:cut])
-            with pytest.raises(ValueError):
-                load_profile(path)
-            again = get_profile(T=12.0, N=1201, newton_tol=1e-9,
-                                cache_dir=str(tmp_path))
-            assert np.array_equal(again.v1, first.v1)
-            assert list(tmp_path.iterdir()) == [path]
-            assert path.read_bytes() == full
+        # cuts mid-metadata-line, mid-payload, and one whole row short
+        for damaged in (lambda full: full[:30], lambda full: full[:len(full) // 2],
+                        lambda full: full[:-40]):
+            self.assert_rewritten(tmp_path, damaged)
 
-    # (line, field) set to nan: dv2 in the middle row of the table, and
-    # the header's A, which would otherwise pass the refit check
-    @pytest.mark.parametrize("line, field", [(2 + 600, 4), (1, 3)], ids=["dv2", "A"])
-    def test_non_finite_cache_is_rewritten(self, tmp_path, line, field):
-        first = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        full = path.read_bytes()
-        lines = full.decode().split("\n")
-        assert lines[1].split()[5] == "inf"     # c_fit: inf is not a corruption
-        words = lines[line].split()
-        words[field] = "nan"
-        lines[line] = " ".join(words)
-        path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="non-finite"):
-            load_profile(path)
-        again = get_profile(T=12.0, N=1201, newton_tol=1e-9, cache_dir=str(tmp_path))
-        assert np.array_equal(again.v1, first.v1)
-        assert again.asymptotics.A == first.asymptotics.A
-        assert path.read_bytes() == full
+    def test_extra_byte_cache_is_rewritten(self, tmp_path):
+        self.assert_rewritten(tmp_path, lambda full: full + b"\0", match="bytes")
+
+    @pytest.mark.parametrize("damaged", [nan_in_dv2, nan_in_a], ids=["dv2", "A"])
+    def test_non_finite_cache_is_rewritten(self, tmp_path, damaged):
+        self.assert_rewritten(tmp_path, damaged, match="non-finite")
+
+    def test_contaminated_window_cache_is_rewritten(self, tmp_path):
+        # v2 at x = 10, inside the fit window, no longer negligible
+        def damaged(full):
+            at = head_length(full) + 40 * 1100 + 8 * 3
+            return full[:at] + struct.pack("<d", 1e-3) + full[at + 8:]
+        self.assert_rewritten(tmp_path, damaged, raises=WindowTooContaminated)
+
+    def test_v1_text_file_at_v2_path_not_served(self, tmp_path):
+        # the retired text layout under the new name is a miss, not a table
+        first = self.get(tmp_path)
+        self.assert_rewritten(tmp_path, lambda full: v1_text(first), match="header")
+
+    def test_stale_v1_text_file_left_alone(self, tmp_path):
+        table = solve_profile(T=12.0, N=1201, newton_tol=1e-9)
+        stale = tmp_path / "profile_T12_N1201_tol1e-09.txt"
+        stale.write_bytes(v1_text(table))
+        again = self.get(tmp_path)
+        assert np.array_equal(again.v1, table.v1)
+        assert sorted(os.listdir(tmp_path)) == [
+            "profile_T12_N1201_tol1e-09.bin", "profile_T12_N1201_tol1e-09.txt"]
+        assert stale.read_bytes() == v1_text(table)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEGKERNEL_CACHE", str(tmp_path))
         get_profile(T=12.0, N=1201, newton_tol=1e-9)
-        assert os.listdir(tmp_path) == ["profile_T12_N1201_tol1e-09.txt"]
+        assert os.listdir(tmp_path) == ["profile_T12_N1201_tol1e-09.bin"]
