@@ -25,7 +25,7 @@ from .counterexample import (
 )
 from .errors import SegkernelError
 from .invertibility import SweepPoint, run_sweep, smallest_eigenvalue
-from .operator1d import Grid, assemble, convergence_report
+from .operator1d import DiscreteOperator, Grid, assemble, convergence_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,16 +250,19 @@ def cmd_eig(args) -> int:
     rows = []
     code = EXIT_OK
     shared = {}     # lambda_min(0) per grid, from smallest_eigenvalue
+    ops = {}        # per grid, the operator whose potentials the others share
     for om in omegas:
         for r_val in r_list:
-            n = args.N or default_node_count(r_val)
+            grid = Grid(r_val, args.N or default_node_count(r_val))
             try:
-                lam = smallest_eigenvalue(assemble(table, om, Grid(r_val, n)), shared)
+                op = ops[grid] = ops.get(grid) or assemble(table, 0.0, grid)
+                lam = smallest_eigenvalue(
+                    DiscreteOperator(grid, om, op.pot1_0, op.pot2_0, op.coup), shared)
             except SegkernelError as exc:
                 print(f"error at omega={om}, R={r_val}: {exc}", file=sys.stderr)
                 code = EXIT_NUMERICAL
                 continue
-            rows.append([om, r_val, n, lam])
+            rows.append([om, r_val, grid.N, lam])
     _write_csv(args.out, cfg, ["omega", "R", "N", "lambda_min"], rows)
     return code
 

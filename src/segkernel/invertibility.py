@@ -8,7 +8,8 @@ sums of the inverse.  With s = (+1, -1, +1, ...) on the interleaved
 unknowns, diag(s) L diag(s) has off-diagonals -1/h^2 and -2 V1 V2 <= 0
 and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
-max(s * solve(s * w)), one banded solve.  Under orthogonality
+max(s * solve(s * w)), one banded solve, of the operator's half-size
+fold on reflection-odd vectors, such as s * w.  Under orthogonality
 constraints, imposed by norms.Projector on the interleaved unknowns, K
 is summed over the upper triangle of L^-1 composed with the projector,
 from the operator's natural-order Cholesky factor, which also solves
@@ -22,12 +23,12 @@ lower triangle.  The estimate method returns plain K itself; under
 constraints a Hager-style one-norm power scheme provides a lower
 estimate (up to round-off).  The smallest eigenvalue is
 lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
-iteration on the operator L(0), started from s / sqrt(m) (by
-Perron-Frobenius its eigenvector is diag(s) p with p > 0), and the
-Collatz-Wielandt bound of the Z-matrix diag(s) L(0) diag(s) on the final
-iterate, read off the band with its rounding bounded, which certifies it
-from below, run once per grid: a sweep shares lambda_min(0) between the
-points on one grid.
+iteration with the reflection-odd fold of L(0), where its eigenvector
+diag(s) p, p > 0, lies (Perron-Frobenius), from the box mode
+s * cos(pi x / (2R)), certified from below by the Collatz-Wielandt bound
+of the Z-matrix diag(s) L(0) diag(s) on the final iterate, read off the
+band with its rounding bounded, run once per grid: a sweep shares
+lambda_min(0) between the points on one grid.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ ESTIMATE_RESTARTS = 5       # the all-ones start, then random signs
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
     """1/cosh(theta x) per interior unknown, interleaved pairwise."""
     return np.repeat(cosh_weights(op.grid.interior, ctx.theta), 2)
+
+
+def _odd_half(op: DiscreteOperator, per_node):
+    """s = (+1, -1, ...) and per_node(x) on the first m/2 unknowns."""
+    h = op.n_unknowns // 2
+    s = np.tile([1.0, -1.0], (h + 1) // 2)[:h]
+    return s, np.repeat(per_node(op.grid.interior[:(h + 1) // 2]), 2)[:h]
 
 
 def _near_triangles(factor, y, g, weights, c):
@@ -143,7 +151,8 @@ def inv_constant_exact(
 
     Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
-    row sums are s * solve(s * w).
+    row sums are s * solve(s * w); s * w is J-odd, so that is one
+    op.solve_odd, the max over the first half of the rows.
 
     Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
     T = L^-1, y = L^-1 carriers and g^T = gram_inv @ zrows; no unit
@@ -179,13 +188,13 @@ def inv_constant_exact(
     guard applies to this path only.
     """
     m = op.n_unknowns
-    weights = _interior_weights(op, ctx)
     if not orth_elements:
-        if np.any(op.band[1] < 0):
+        if np.any(op.odd_band[1] < 0):
             raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
-        s = np.tile([1.0, -1.0], m // 2)
-        return float(np.max(s * op.solve_interior(s * weights)))
+        s, w = _odd_half(op, lambda x: cosh_weights(x, ctx.theta))
+        return float(np.max(s * op.solve_odd(s * w)))
 
+    weights = _interior_weights(op, ctx)
     if m > EXACT_SIZE_GUARD:
         raise BudgetExceeded(
             f"{m} unknowns exceed the exact-method guard {EXACT_SIZE_GUARD}"
@@ -317,7 +326,7 @@ def inv_constant_estimate(
 
 
 def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
-    """Rigorous lower bound on lambda_min of the banded L from any vector v.
+    """Rigorous lower bound on lambda_min of L from any [v; -v reversed].
 
     The off-diagonals of D L D, D = diag(s), are the band's -1/h^2 (row 0)
     and minus its couplings (row 1), so it is a Z-matrix when
@@ -328,12 +337,15 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
     products, rounded at most five times, so it is off by at most gamma_5
     times its absolute term sum, 2 d_i x_i - (D L D x)_i with d = band[2]
     (Higham, Accuracy and Stability, sec. 3.1); gamma_6 of its computed
-    value covers that, 4 smallest subnormals the underflow.
+    value covers that, 4 smallest subnormals the underflow.  L is mirror
+    exact, so rows i and m-1-i have the same quotient: only the first
+    h = len(v) are formed, from the band's first h + 2 columns.
     """
+    h, band = len(v), band[:, :len(v) + 2]
     if np.any(band[1] < 0):     # D L D is not a Z-matrix
         return -math.inf
     fp = np.finfo(float)
-    x = np.maximum(np.abs(v), fp.tiny)
+    x = np.maximum(np.abs(np.concatenate((v, v[:-3:-1]))), fp.tiny)
     d = band[2]
     dldx = d * x
     dldx[1:] -= band[1, 1:] * x[:-1]
@@ -342,19 +354,19 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
     dldx[:-2] += band[0, 2:] * x[2:]
     gamma6 = 3.0 * fp.eps / (1.0 - 3.0 * fp.eps)
     err = gamma6 * (2.0 * d * x - dldx) + 4.0 * fp.smallest_subnormal
-    low = float(np.min((dldx - err) / x))
+    low = float(np.min(((dldx - err) / x)[:h]))
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 
 def _certified_eigenvalue(op: DiscreteOperator) -> float:
-    """lambda_min of op: inverse iteration from s / sqrt(m) until
-    successive Rayleigh quotients differ by < EIG_TOL * |value|, certified
-    by _perron_lower_bound of the final iterate on op.band."""
-    m = op.n_unknowns
-    v = np.tile([1.0, -1.0], m // 2) / math.sqrt(m)
+    """lambda_min of op: inverse iteration with op.solve_odd from the box
+    mode s * cos(pi x / (2R)) until successive Rayleigh quotients differ by
+    < EIG_TOL * |value|, certified by _perron_lower_bound on L's band."""
+    s, mode = _odd_half(op, lambda x: np.cos(np.pi / (2.0 * op.grid.R) * x))
+    v = s * mode / np.linalg.norm(mode)
     rho_prev = rho = None
     for it in range(EIG_MAX_ITERS):
-        y = op.solve_interior(v)
+        y = op.solve_odd(v)
         ny = float(np.linalg.norm(y))
         rho = float(y @ v) / (ny * ny)
         v = y / ny
@@ -365,8 +377,8 @@ def _certified_eigenvalue(op: DiscreteOperator) -> float:
         raise NoConvergence(
             f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho
         )
-    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.band[2]))
-    low = _perron_lower_bound(op.band, v)
+    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.odd_band[2]))
+    low = _perron_lower_bound(op.odd_band, v)
     if not (0.0 < low and rho - low <= delta):
         raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
                             f"positive and within {delta:.3g} of {rho:.17g}",
@@ -385,13 +397,13 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     operator on that grid (of the same profile) reuses it.  If L(0) does
     not factor, the iteration runs on L itself, unshared.
 
-    As diag(s) L diag(s) is a Stieltjes matrix, s = (+1, -1, +1, ...), its
-    inverse is entrywise positive and (Perron-Frobenius) the lambda_min
-    eigenvector of L is diag(s) p with p > 0; the start s / sqrt(m)
-    overlaps it well.  The Rayleigh quotient rho bounds lambda_min above
-    and the Collatz-Wielandt bound of the final iterate below;
-    NoConvergence is raised unless that bound is positive and within
-    delta of rho.
+    As diag(s) L diag(s) is an irreducible Stieltjes matrix, s = (+1, -1,
+    ...), the lambda_min eigenvector of L is diag(s) p with p > 0 unique
+    (Perron-Frobenius), hence J-odd: the iteration runs on L's fold on
+    J-odd vectors, from the box mode, which overlaps it well.  The
+    Rayleigh quotient rho bounds lambda_min above and the Collatz-Wielandt
+    bound of the final iterate, on L's own band, below; NoConvergence is
+    raised unless that bound is positive and within delta of rho.
     """
     w2 = op.w2
     if shared is not None and op.grid in shared:

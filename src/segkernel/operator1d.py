@@ -13,7 +13,8 @@ on first use, and the factorization once per operator and reused for
 every solve.  The coupling 2 V1 V2 vanishes where the profile's tail
 extension sets one component to zero, so the factorization eliminates
 those uncoupled tails first, as one tridiagonal, and then Cholesky-
-factors the small coupled core.
+factors the small coupled core.  The potentials are mirror exact, so
+on reflection-odd vectors L is a half-size band with half the tails.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with a cached tail-first factorization;
-    smallest_pivot is the smallest pivot of that elimination, set once
-    it is computed.
+    """Assembled banded operator with cached tail-first factorizations of
+    L and of its fold on J-odd vectors; smallest_pivot is the smallest
+    pivot of the elimination computed last, set once it is computed.
 
     It keeps the omega-free potentials; omega^2 enters only the diagonal,
     so L(omega) = L(0) + omega^2 I exactly.
@@ -116,7 +117,7 @@ class DiscreteOperator:
         self.pot1_0 = pot1_0        # V2^2 at interior nodes
         self.pot2_0 = pot2_0        # V1^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
-        self._factor = None
+        self._factor = self._odd = None
         self.smallest_pivot = None
 
     @property
@@ -126,11 +127,19 @@ class DiscreteOperator:
     @cached_property
     def band(self) -> np.ndarray:
         """Upper band storage of L, built on first use."""
-        h2 = self.grid.h ** 2
-        band = np.zeros((3, self.n_unknowns))
-        band[2, 0::2] = 2.0 / h2 + (self.pot1_0 + self.w2)
-        band[2, 1::2] = 2.0 / h2 + (self.pot2_0 + self.w2)
-        band[1, 1::2] = self.coup          # same-node coupling
+        return self._band_head(self.n_unknowns)
+
+    @cached_property
+    def odd_band(self) -> np.ndarray:
+        """The band's first m/2 + 2 columns, all that the J-odd path reads."""
+        return self._band_head(self.n_unknowns // 2 + 2)
+
+    def _band_head(self, k: int) -> np.ndarray:
+        h2, n1, n2 = self.grid.h ** 2, (k + 1) // 2, k // 2
+        band = np.zeros((3, k))
+        band[2, 0::2] = 2.0 / h2 + (self.pot1_0[:n1] + self.w2)
+        band[2, 1::2] = 2.0 / h2 + (self.pot2_0[:n2] + self.w2)
+        band[1, 1::2] = self.coup[:n2]     # same-node coupling
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band
 
@@ -144,22 +153,7 @@ class DiscreteOperator:
         return factor
 
     def factorization(self) -> TailFirst:
-        """The tail-first factorization, computed once.
-
-        The coupling 2 V1 V2 vanishes outside the core, the hull of the
-        coupled nodes (the last node if there are none), so the rest of
-        L is four tridiagonal chains: left u1 and u2, and right u1 and u2
-        reversed, each ending next to the core.  They go into one
-        tridiagonal with zero joins and one L D L^T factorization.  As
-        the chains are decoupled, the exact Schur complement of the tails
-        takes link^2 / d_end off the core diagonal entry next to each
-        chain's end, link = -1/h^2 the entry of L that joins the two and
-        d_end the chain's last pivot; the core band is then
-        Cholesky-factored.  With no tails that is the Cholesky factor of
-        the whole band.  A chain's response q to the unit vector u at its
-        end needs no solve: the unit lower factor leaves u as it is, so
-        L^T q = u / d_end, and q is 1/d_end times the running product of
-        -e taken back from the end, the recurrence pttrs would run.
+        """The tail-first factorization of L, computed once.
 
         Raises SingularSystem when the matrix is not numerically
         positive definite or a pivot of this elimination falls below
@@ -167,52 +161,43 @@ class DiscreteOperator:
         diagnostics (relevant for the flagged omega = 0 regime).
         """
         if self._factor is None:
-            band, n, link = self.band, self.grid.N - 2, self.band[0, -1]
-            coupled = band[1, 1::2] != 0.0
-            lo, hi = ((int(coupled.argmax()), n - int(coupled[::-1].argmax()))
-                      if coupled.any() else (n - 1, n))
-            c = 2 * (hi - lo)
-            # (unknowns, core position next to its end, length) per chain
-            chains = [(s, j, k) for s, j, k in (
-                (slice(0, 2 * lo, 2), 0, lo), (slice(1, 2 * lo, 2), 1, lo),
-                (slice(2 * n - 2, 2 * hi - 1, -2), c - 2, n - hi),
-                (slice(2 * n - 1, 2 * hi, -2), c - 1, n - hi)) if k]
-            slices = tuple(s for s, _, _ in chains)
-            joins = np.array([j for _, j, _ in chains], dtype=int)
-            lengths = [k for _, _, k in chains]
-            ends = np.cumsum(lengths, dtype=int) - 1
-            e = np.full(sum(lengths), link)
-            e[ends] = 0.0       # the joins between chains
-            d, e = _factored(pttrf, _gather(band[2], slices), e[:-1])
-            core = band[:, 2 * lo:2 * hi].copy()
-            np.subtract.at(core[2], joins, link ** 2 / d[ends])
-            factor = _factored(pbtrf, core)
-            self.smallest_pivot = _smallest_pivot(np.concatenate((d, factor[2] ** 2)), band)
-            q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n_k:k][::-1]))[::-1, None]
-                 for k, n_k in zip(ends, lengths)]
-            self._factor = TailFirst(slices, d, e, q, ends, joins, link,
-                                     slice(2 * lo, 2 * hi), factor)
+            self._factor, self.smallest_pivot = _tail_first(self.band, *self._hull)
         return self._factor
 
-    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for interleaved interior unknowns; rhs may be a matrix.
+    def odd_factorization(self) -> TailFirst:
+        """The factorization, computed once, of L on J-odd vectors [a; -a
+        reversed], J the reversal of the interleaved unknowns (x -> -x with
+        u1 <-> u2), which commutes with L when its potentials are mirror
+        exact (else ValueError).  There L is B, the band's first m/2 columns
+        less the two entries linking the last one across the middle, with
+        L's left two chains as tails.  The even fold B+ (those entries
+        added) is factored for its pivots: L is positive definite iff B and
+        B+ are, so SingularSystem and smallest_pivot keep their meaning."""
+        if self._odd is None:
+            if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
+                    and np.array_equal(self.coup, self.coup[::-1])):
+                raise ValueError("potentials not mirror exact: L does not commute with J")
+            band, h = self.odd_band, self.n_unknowns // 2
+            a = min(self._hull[0], 2 * (h // 2 - 1))     # the core holds h-2 and h-1
+            odd, even = band[:, :h].copy(), band[:, a:h].copy()
+            odd[1:, -1] -= band[:2, h]
+            even[1:, -1] += band[:2, h]
+            self._odd, self.smallest_pivot = _tail_first(odd, a, h, even)
+        return self._odd
 
-        One tail solve t; the core solve, with link * t_end taken off next
-        to each chain's end; and the tails back-corrected by
-        x_chain = t_chain - q_chain * link * x_join."""
-        f = self.factorization()
-        b = np.asarray(rhs, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n_unknowns:
-            raise ValueError(f"rhs of shape {b.shape} does not fit {self.n_unknowns} unknowns")
-        cols = b.reshape(len(b), -1)
-        t = pttrs(f.d, f.e, _gather(cols, f.chains))
-        core = cols[f.core].copy()
-        np.subtract.at(core, f.joins, f.link * t[f.ends])
-        x = np.empty(cols.shape)
-        x[f.core] = core = pbtrs(f.core_factor, core)
-        for s, part, q, j in zip(f.chains, np.split(t, f.ends[:-1] + 1), f.q, f.joins):
-            x[s] = part - q * (f.link * core[j])
-        return x.reshape(b.shape)
+    @cached_property
+    def _hull(self) -> tuple:
+        """The core's first and end unknown: the coupled hull, or the last node."""
+        nz, n = np.flatnonzero(self.coup), self.grid.N - 2
+        return (2 * int(nz[0]), 2 * int(nz[-1]) + 2) if nz.size else (2 * n - 2, 2 * n)
+
+    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for interleaved interior unknowns; rhs may be a matrix."""
+        return _solve(self.factorization(), rhs, self.n_unknowns)
+
+    def solve_odd(self, rhs: np.ndarray) -> np.ndarray:
+        """solve_interior([rhs; -rhs reversed])[:m/2], one solve with B."""
+        return _solve(self.odd_factorization(), rhs, self.n_unknowns // 2)
 
     def solve(self, g: PairGridFunction) -> PairGridFunction:
         """Solve L u = g with homogeneous Dirichlet endpoints."""
@@ -247,6 +232,60 @@ class TailFirst(NamedTuple):
     link: float             # the entry of L linking the two, -1/h^2
     core: slice             # the core's unknowns
     core_factor: np.ndarray  # pbtrf of the core's Schur complement
+
+
+def _tail_first(band, a, b, *twins):
+    """band factored tail first, its core the unknowns a..b-1 (a even),
+    and the smallest pivot.  Outside the core the band is up to four
+    uncoupled chains, left u1 and u2 and right u1 and u2 reversed: one
+    tridiagonal with zero joins, one L D L^T.  The exact Schur complement
+    of the tails takes link^2 / d_end off the core diagonal next to each
+    chain's end (link = -1/h^2, d_end the chain's last pivot); the core,
+    and twins (cores with the same tails, for their pivots only), are
+    then Cholesky-factored.  A chain's response q to the unit vector u at
+    its end needs no solve: L^T q = u / d_end, as the unit lower factor
+    leaves u as it is, so q is 1/d_end times the running product of -e
+    taken back from the end."""
+    m, link, c = band.shape[1], band[0, -1], b - a
+    # (unknowns, core position next to its end, length) per chain
+    chains = [(s, j, k) for s, j, k in (
+        (slice(0, a, 2), 0, a // 2), (slice(1, a, 2), 1, a // 2),
+        (slice(m - 2, b - 1, -2), c - 2, (m - b) // 2),
+        (slice(m - 1, b, -2), c - 1, (m - b) // 2)) if k]
+    slices = tuple(s for s, _, _ in chains)
+    joins = np.array([j for _, j, _ in chains], dtype=int)
+    lengths = [k for _, _, k in chains]
+    ends = np.cumsum(lengths, dtype=int) - 1
+    e = np.full(sum(lengths), link)
+    e[ends] = 0.0       # the joins between chains
+    d, e = _factored(pttrf, _gather(band[2], slices), e[:-1])
+    factors = []
+    for core in (band[:, a:b].copy(), *twins):
+        np.subtract.at(core[2], joins, link ** 2 / d[ends])
+        factors.append(_factored(pbtrf, core))
+    smallest = _smallest_pivot(np.concatenate([d] + [f[2] ** 2 for f in factors]), band)
+    q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n_k:k][::-1]))[::-1, None]
+         for k, n_k in zip(ends, lengths)]
+    return TailFirst(slices, d, e, q, ends, joins, link, slice(a, b), factors[0]), smallest
+
+
+def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
+    """Solve with the tail-first factorization f of m unknowns; rhs may
+    be a matrix.  One tail solve t; the core solve, with link * t_end
+    taken off next to each chain's end; and the tails back-corrected by
+    x_chain = t_chain - q_chain * link * x_join."""
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != m:
+        raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
+    cols = b.reshape(len(b), -1)
+    t = pttrs(f.d, f.e, _gather(cols, f.chains))
+    core = cols[f.core].copy()
+    np.subtract.at(core, f.joins, f.link * t[f.ends])
+    x = np.empty(cols.shape)
+    x[f.core] = core = pbtrs(f.core_factor, core)
+    for s, part, q, j in zip(f.chains, np.split(t, f.ends[:-1] + 1), f.q, f.joins):
+        x[s] = part - q * (f.link * core[j])
+    return x.reshape(b.shape)
 
 
 def _gather(v: np.ndarray, chains) -> np.ndarray:
@@ -287,8 +326,10 @@ def _stencil(h2, w2, pots, u1, u2):
 
 
 def _potentials(p: ProfileTable, x):
-    """(V2^2, V1^2, 2 V1 V2) at the points x."""
-    v1, _, v2, _ = eval_profile(p, x)
+    """(V2^2, V1^2, 2 V1 V2) at the points x, mirror exact: the profile
+    is evaluated at -|x| and its components swapped where x > 0."""
+    v1, _, v2, _ = eval_profile(p, -np.abs(x))
+    v1, v2 = np.where(x > 0, v2, v1), np.where(x > 0, v1, v2)
     return v2 * v2, v1 * v1, 2.0 * v1 * v2
 
 

@@ -493,7 +493,7 @@ def save_profile(p: ProfileTable, path):
 
 def load_profile(path) -> ProfileTable:
     """Read a cache file written by save_profile; ValueError unless it
-    holds exactly N finite rows whose refitted A matches the header."""
+    holds exactly N finite, mirror exact rows that refit the header's A."""
     with open(path, "rb") as fh:
         header = fh.readline().strip()
         if header != CACHE_HEADER.encode():
@@ -523,6 +523,10 @@ def load_profile(path) -> ProfileTable:
     asym = extract_asymptotics(table, default_fit_window(T))
     if abs(asym.A - a_hdr) > 1e-10 * max(1.0, abs(a_hdr)):
         raise ValueError("cache file inconsistent: refitted A disagrees with header")
+    x, v1, dv1, v2, dv2 = data.T
+    if not (np.array_equal(x, -x[::-1]) and np.array_equal(v1, v2[::-1])
+            and np.array_equal(dv1, -dv2[::-1])):
+        raise ValueError("cache file is not mirror exact: V1(-x) = V2(x) fails")
     return replace(
         table, asymptotics=AsymptoticConstants(a_hdr, b_hdr, c_hdr, asym.fit_residual)
     )

@@ -224,6 +224,28 @@ class TestEigCommand:
             assert lam == smallest_eigenvalue(assemble(table, om, Grid(r_val, int(n))))
             assert lam == rec.lambda_min
 
+    def test_eig_assembles_once_per_grid(self, cache_dir, tmp_path, monkeypatch):
+        # every row as from its own operator, with one assemble per grid
+        from segkernel import cli
+        calls = []
+
+        def counting(table, omega, grid):
+            calls.append(grid)
+            return assemble(table, omega, grid)
+
+        monkeypatch.setattr(cli, "assemble", counting)
+        out = tmp_path / "eig.csv"
+        assert main(["eig", *common_args(cache_dir), "--omega", "0.3,0,0.1",
+                     "--R", "10,20", "--N", "201", "--out", str(out)]) == 0
+        assert calls == [Grid(10.0, 201), Grid(20.0, 201)]
+        table = load_profile(os.path.join(cache_dir, os.listdir(cache_dir)[0]))
+        rows = [l.split(",") for l in read_lines(out) if not l.startswith("#")][1:]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (om, r_val) for om in (0.3, 0.0, 0.1) for r_val in (10.0, 20.0)]
+        for om, r_val, n, lam in rows:
+            op = assemble(table, float(om), Grid(float(r_val), int(n)))
+            assert float(lam) == smallest_eigenvalue(op)
+
     def test_eigenvalue_failure_exit_code(self, cache_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(invertibility, "EIG_MAX_ITERS", 2)
         out = tmp_path / "fail.csv"

@@ -49,20 +49,24 @@ def dense_k(table, op, ctx, elements=None):
 
 def count_operator_calls(monkeypatch):
     """Counts, from now on, of the factorizations DiscreteOperator
-    computes (not those it returns from its cache) and of its solves."""
+    computes (not those it returns from its cache), of L and of its odd
+    half, and of its solves with either."""
     calls = {"factorizations": 0, "solves": 0}
-    factorization, solve = DiscreteOperator.factorization, DiscreteOperator.solve_interior
+    for factor_name, cache, solve_name in (("factorization", "_factor", "solve_interior"),
+                                           ("odd_factorization", "_odd", "solve_odd")):
+        factorization = getattr(DiscreteOperator, factor_name)
+        solve = getattr(DiscreteOperator, solve_name)
 
-    def counting_factorization(op):
-        calls["factorizations"] += op._factor is None
-        return factorization(op)
+        def counting_factorization(op, factorization=factorization, cache=cache):
+            calls["factorizations"] += getattr(op, cache) is None
+            return factorization(op)
 
-    def counting_solve(op, rhs):
-        calls["solves"] += 1
-        return solve(op, rhs)
+        def counting_solve(op, rhs, solve=solve):
+            calls["solves"] += 1
+            return solve(op, rhs)
 
-    monkeypatch.setattr(DiscreteOperator, "factorization", counting_factorization)
-    monkeypatch.setattr(DiscreteOperator, "solve_interior", counting_solve)
+        monkeypatch.setattr(DiscreteOperator, factor_name, counting_factorization)
+        monkeypatch.setattr(DiscreteOperator, solve_name, counting_solve)
     return calls
 
 
@@ -368,7 +372,7 @@ class TestEigenvalue:
         # never for the certificate
         grid = Grid(40.0, 3201)
         op = assemble(table, 0.0, grid)
-        op.factorization()
+        op.odd_factorization()
         calls = count_operator_calls(monkeypatch)
         smallest_eigenvalue(op)
         assert calls["factorizations"] == 0
@@ -383,12 +387,13 @@ class TestEigenvalue:
         assert "band" not in op.__dict__ and op.smallest_pivot is None
 
     def test_sign_vector_start_converges_fast(self, table, monkeypatch):
-        # the lambda_min eigenvector is diag(s) p with p > 0, so the start
-        # s / sqrt(m) needs few iterations (a random start took 16 here)
+        # the lambda_min eigenvector is diag(s) p with p > 0, and the box
+        # mode s * cos(pi x / (2R)) starts close to it: 6 solves here,
+        # where the start s / sqrt(m) took 8 and a random start 16
         op = assemble(table, 0.0, Grid(160.0, 12801))
         calls = count_operator_calls(monkeypatch)
         smallest_eigenvalue(op)
-        assert 0 < calls["solves"] <= 10
+        assert 0 < calls["solves"] <= 6
 
     def test_identity_shift(self, table):
         # the iteration runs on the band of L(0) at every omega, so

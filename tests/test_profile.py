@@ -341,6 +341,15 @@ class TestCache:
             return full[:at] + struct.pack("<d", 1e-3) + full[at + 8:]
         self.assert_rewritten(tmp_path, damaged, raises=WindowTooContaminated)
 
+    def test_unmirrored_cache_is_rewritten(self, tmp_path):
+        # dv1 at x = 0 (column 2 of the middle row) set to 5.0: the values,
+        # the fit window and A are untouched, but dv1(0) = -dv2(0) fails
+        def damaged(full):
+            at = head_length(full) + 40 * 600 + 8 * 2
+            return full[:at] + struct.pack("<d", 5.0) + full[at + 8:]
+        self.assert_rewritten(tmp_path, damaged, match="mirror exact")
+        assert self.get(tmp_path).dv1[600] == 1.5100500962672718
+
     def test_v1_text_file_at_v2_path_not_served(self, tmp_path):
         # the retired text layout under the new name is a miss, not a table
         first = self.get(tmp_path)

@@ -1,0 +1,144 @@
+"""L on reflection-odd vectors: J reverses the interleaved unknowns
+(x -> -x with u1 <-> u2), L commutes with it, and lambda_min and plain K
+are solved with the half-size fold of L on J-odd vectors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from segkernel.errors import SingularSystem
+from segkernel.invertibility import (
+    EIG_TOL,
+    _interior_weights,
+    inv_constant_exact,
+    smallest_eigenvalue,
+)
+from segkernel.norms import NormContext
+from segkernel.operator1d import DiscreteOperator, Grid, assemble
+from oracles import band_to_dense
+
+GRIDS = [(10.0, 201), (10.0, 200), (40.0, 3201), (40.0, 3200), (800.0, 64000)]
+
+
+def odd(a):
+    """The J-odd vector [a; -a reversed], a a vector or columns."""
+    return np.concatenate((a, -a[::-1]))
+
+
+def full_system_eigenvalue(op):
+    """lambda_min by inverse iteration on all of L from s / sqrt(m),
+    stopped as smallest_eigenvalue stops."""
+    m = op.n_unknowns
+    v = np.tile([1.0, -1.0], m // 2) / np.sqrt(m)
+    rho_prev = None
+    for it in range(100):
+        y = op.solve_interior(v)
+        rho = float(y @ v) / float(y @ y)
+        v = y / np.linalg.norm(y)
+        if it >= 3 and abs(rho - rho_prev) < EIG_TOL * rho:
+            return rho
+        rho_prev = rho
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("r_val, n", GRIDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("omega", [0.0, 0.3])
+def test_band_is_mirror_exact(table, r_val, n, omega):
+    band = assemble(table, omega, Grid(r_val, n)).band
+    for k, row in zip((2, 1, 0), band):
+        assert np.array_equal(row[k:], row[k:][::-1]), k
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd-N", "even-N"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    half=st.integers(20, 300),
+    r_val=st.floats(5.0, 20.0),
+    omega=st.floats(0.0, 0.5),
+    cols=st.sampled_from([(), (2,)]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_odd_solve_matches_full_solve(table, parity, half, r_val, omega, cols, seed):
+    # R > T = 12 leaves uncoupled tails; the fold's core then holds the
+    # coupled middle only
+    op = assemble(table, omega, Grid(r_val, 2 * half + parity))
+    a = np.random.default_rng(seed).standard_normal((op.n_unknowns // 2, *cols))
+    want = op.solve_interior(odd(a))
+    got = op.solve_odd(a)
+    scale = np.max(np.abs(want))
+    assert got.shape == a.shape
+    assert np.max(np.abs(got - want[:len(a)])) <= 1e-12 * scale
+    # the full solution is J-odd too
+    assert np.max(np.abs(odd(want[:len(a)]) - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [64001, 64000])
+@pytest.mark.parametrize("omega", [0.0, 0.05])
+def test_north_star_values_match_full_system(table, omega, n):
+    grid = Grid(800.0, n)
+    op = assemble(table, omega, grid)
+    weights = _interior_weights(op, NormContext(0.5))
+    s = np.tile([1.0, -1.0], op.n_unknowns // 2)
+    k_full = np.max(s * op.solve_interior(s * weights))
+    k = inv_constant_exact(op, NormContext(0.5))
+    assert abs(k - k_full) <= 2e-10 * k_full
+    op0 = DiscreteOperator(grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
+    lam_full = full_system_eigenvalue(op0) + omega * omega
+    assert abs(smallest_eigenvalue(op) - lam_full) <= 2e-10 * lam_full
+
+
+@pytest.mark.parametrize("r_val, n", [(10.0, 201), (20.0, 200)])
+def test_tails_are_the_full_factorization_left_chains(table, r_val, n):
+    op = assemble(table, 0.1, Grid(r_val, n))
+    full, half = op.factorization(), op.odd_factorization()
+    k = len(half.d)
+    assert half.chains == full.chains[:len(half.chains)]
+    assert np.array_equal(half.d, full.d[:k])
+    assert np.array_equal(half.e, full.e[:k - 1])
+    for q_half, q_full in zip(half.q, full.q):
+        assert np.array_equal(q_half, q_full)
+    assert half.core.stop == op.n_unknowns // 2
+
+
+def test_unmirrored_operator_raises(table):
+    # one potential a rounding off its mirror: no K and no lambda_min
+    grid = Grid(10.0, 201)
+    op0 = assemble(table, 0.0, grid)
+    pot1 = op0.pot1_0.copy()
+    pot1[3] = np.nextafter(pot1[3], np.inf)
+    for omega in (0.0, 0.1):
+        op = DiscreteOperator(grid, omega, pot1, op0.pot2_0, op0.coup)
+        with pytest.raises(ValueError, match="mirror exact"):
+            inv_constant_exact(op, NormContext(0.5))
+        with pytest.raises(ValueError, match="mirror exact"):
+            smallest_eigenvalue(op)
+        assert op.solve_interior(np.ones(op.n_unknowns)).shape == (op.n_unknowns,)
+
+
+def test_singular_coarse_grid_raises(table):
+    # R = 400 on N = 4001 (h = 0.2): L(0) is not positive definite
+    op = assemble(table, 0.0, Grid(400.0, 4001))
+    for compute in (op.odd_factorization, op.factorization,
+                    lambda: smallest_eigenvalue(op),
+                    lambda: inv_constant_exact(op, NormContext(0.5))):
+        with pytest.raises(SingularSystem):
+            compute()
+    assert op.smallest_pivot is None
+
+
+def test_positive_definite_odd_half_does_not_hide_indefinite_l(table):
+    # E, -1 on every u2, maps J-odd vectors to J-even ones, and E L E is L
+    # with its coupling negated: shifted between lambda_min and the next
+    # eigenvalue, E L E is indefinite while its odd fold is definite
+    grid = Grid(10.0, 201)
+    op0 = assemble(table, 0.0, grid)
+    eigs = np.linalg.eigvalsh(band_to_dense(op0))
+    shift = 0.5 * (eigs[0] + eigs[1])
+    op = DiscreteOperator(grid, 0.0, op0.pot1_0 - shift, op0.pot2_0 - shift, -op0.coup)
+    fold = band_to_dense(op)[:op.n_unknowns // 2]
+    fold = fold[:, :op.n_unknowns // 2] - fold[:, op.n_unknowns // 2:][:, ::-1]
+    assert np.linalg.eigvalsh(fold)[0] > 0.0
+    with pytest.raises(SingularSystem):
+        op.odd_factorization()
+    with pytest.raises(SingularSystem):
+        smallest_eigenvalue(op)
