@@ -14,10 +14,10 @@ constraints, imposed by norms.Projector on the interleaved unknowns, K
 is summed over the upper triangle of L^-1 composed with the projector,
 from the operator's natural-order Cholesky factor, which also solves
 the carriers, in tiles of rows and three steps: the diagonal and first
-off-diagonal of L^-1 (Takahashi selected inversion in scalar rows, one
-banded back substitution); the triangle inside every
-tile, by one recurrence vectorised across the tiles; and a sweep up the
-tiles that sums the columns past each tile in chunks whose sign is
+off-diagonal of L^-1 (Takahashi selected inversion in scalar rows,
+banded back substitution in segments); the triangle inside every tile,
+by one recurrence vectorised across the tiles; and a sweep up groups of
+tiles that sums the columns past each group in chunks whose sign is
 certified by interval bounds.  The reflection symmetry supplies the
 lower triangle.  The estimate method returns plain K itself; under
 constraints a Hager-style one-norm power scheme provides a lower
@@ -49,6 +49,8 @@ from .profile import ProfileTable
 EXACT_SIZE_GUARD = 256_000   # constrained K: N = 160 R + 1 up to R = 800
 TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
+GROUP_TILES = 4             # tiles per step of the far sweep's anchor
+SOLVE_SEGMENT = 2 ** 14     # unknowns per back substitution of the inverse diagonals
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
 ESTIMATE_MAX_ITERS = 20     # Hager power steps per restart
@@ -65,6 +67,43 @@ def _odd_half(op: DiscreteOperator, per_node):
     h = op.n_unknowns // 2
     s = np.tile([1.0, -1.0], (h + 1) // 2)[:h]
     return s, np.repeat(per_node(op.grid.interior[:(h + 1) // 2]), 2)[:h]
+
+
+def _shifted(x, s, lo, end):
+    """x_{i-s} at i = lo..end-1, zero before x_0."""
+    out = np.zeros(end - lo)
+    out[max(s - lo, 0):] = x[max(lo - s, 0):end - s]
+    return out
+
+
+def _inverse_diagonals(factor, alpha, beta):
+    """T_ii and T_{i,i+1}, interleaved as unknowns 2i and 2i+1: the unit
+    upper-triangular band of _near_triangles, back-substituted from the
+    bottom up in segments of at most SOLVE_SEGMENT unknowns, so that no
+    band over all 2m unknowns (five rows, half of them zeros) is built.
+    A segment's band reaches into the two solved nodes below it; their
+    own rows are made identity rows, with the solved values on the right,
+    so every unknown is computed as in one back substitution of the whole
+    band, bit for bit."""
+    m = len(alpha)
+    t = np.zeros(2 * m)
+    t[0::2] = 1.0 / factor[2] ** 2
+    nodes = max(1, SOLVE_SEGMENT // 2)
+    for lo in range((m - 1) // nodes * nodes, -1, -nodes):
+        hi = min(lo + nodes, m)
+        end = min(hi + 2, m)
+        band = np.zeros((5, 2 * (end - lo)), order="F")
+        a1 = _shifted(alpha, 1, lo, end)
+        b1 = _shifted(beta, 1, lo, end)
+        band[4] = 1.0
+        band[3, 0::2] = -a1
+        band[2, 0::2], band[2, 1::2] = -a1 ** 2, -b1
+        band[1, 1::2] = -2.0 * a1 * b1
+        band[0, 0::2] = -_shifted(beta, 2, lo, end) ** 2
+        solved = band[:4, 2 * (hi - lo):]      # their rows: identity
+        solved[np.add.outer(np.arange(4), np.arange(solved.shape[1])) >= 4] = 0.0
+        t[2 * lo:2 * end] = gbsv(0, 4, band, t[2 * lo:2 * end])
+    return t
 
 
 def _near_triangles(factor, y, g, weights, c):
@@ -87,10 +126,12 @@ def _near_triangles(factor, y, g, weights, c):
               + 1 / U_ii^2,
         b_i = alpha_i a_{i+1} + beta_i b_{i+1},
     one unit upper-triangular band of 2m unknowns and bandwidth 4, solved
-    by one back substitution.  From those two diagonals the recurrence
-    runs up each tile on a two-row state, one numpy step per row for all
-    tiles.  The padding rows of the top tile, computed last, are clamped
-    to row 0 and their results unused.
+    by back substitution (_inverse_diagonals).  From those two diagonals
+    the recurrence runs up each tile on a two-row state, one numpy step
+    per row for all tiles.  The state, the weights and g are held as
+    (column, tile) arrays, so that each step works on whole rows.  The
+    padding rows of the top tile, computed last, are clamped to row 0 and
+    their results unused.
     """
     m, k = len(weights), g.shape[0]
     n_tiles = -(-m // c)
@@ -98,46 +139,42 @@ def _near_triangles(factor, y, g, weights, c):
     alpha, beta = np.zeros(m), np.zeros(m)
     alpha[:-1] = -factor[1, 1:] / factor[2, :-1]
     beta[:-2] = -factor[0, 2:] / factor[2, :-2]
-    # (a_i, b_i) interleaved: unknowns 2i and 2i+1
-    band = np.zeros((5, 2 * m), order="F")
-    band[4] = 1.0
-    band[3, 2::2] = -alpha[:-1]
-    band[2, 2::2], band[2, 3::2] = -alpha[:-1] ** 2, -beta[:-1]
-    band[1, 3::2] = -2.0 * alpha[:-1] * beta[:-1]
-    band[0, 4::2] = -beta[:-2] ** 2
-    rhs = np.zeros(2 * m)
-    rhs[0::2] = 1.0 / factor[2] ** 2
-    t = gbsv(0, 4, band, rhs)
-    del band, rhs       # freed before the tile arrays are allocated
+    t = _inverse_diagonals(factor, alpha, beta)
     d0, d1 = t[0::2], t[1::2]
     first = np.arange(n_tiles) * c - pad           # each tile's first (padded) row
-
-    def tiled(x):           # (..., tile, column), the padding clamped to column 0
-        return x[..., np.maximum(first[:, None] + np.arange(c), 0)]
-
-    wt, gt = tiled(weights), tiled(g)
+    cols = np.maximum(np.arange(c)[:, None] + first, 0)    # the padding clamped to 0
+    wt, gt = weights[cols], g[:, cols]             # (column, tile)
+    del cols
     # rows i+1 and i+2: T over the tile's columns, then P
-    s1, s2 = np.zeros((n_tiles, c + 2)), np.zeros((n_tiles, c + 2))
-    s1[:, c - 1], s1[:, c], s2[:, c + 1] = d1[first + c - 1], 1.0, 1.0
+    s1, s2 = np.zeros((c + 2, n_tiles)), np.zeros((c + 2, n_tiles))
+    s1[c - 1], s1[c], s2[c + 1] = d1[first + c - 1], 1.0, 1.0
     near, diag, prop = np.empty((n_tiles, c)), np.empty((n_tiles, c)), np.empty((n_tiles, c, 2))
-    buf = np.empty((n_tiles, c))
+    buf = np.empty((c + 2, n_tiles))
+
+    def y_dot_g(rows, r):       # y[rows] . g over each tile's columns from r on
+        if k == 1:
+            return np.multiply(gt[0, r:], y[rows, 0], out=buf[r:c])
+        return np.einsum("tk,kjt->jt", y[rows], gt[:, r:], out=buf[r:c])
+
     for r in range(c - 1, -1, -1):
         i = np.maximum(first + r, 0)
-        new = s2[:, r + 1:]         # row i takes the place of row i+2
-        np.multiply(new, beta[i, None], out=new)
-        new += alpha[i, None] * s1[:, r + 1:]
-        s2[:, r] = d0[i]
+        new = s2[r + 1:]            # row i takes the place of row i+2
+        np.multiply(new, beta[i], out=new)
+        new += np.multiply(s1[r + 1:], alpha[i], out=buf[r + 1:])
+        s2[r] = d0[i]
         if r:
-            s2[:, r - 1] = d1[i - 1]
+            s2[r - 1] = d1[i - 1]
         s1, s2 = s2, s1
-        row = np.einsum("tk,ktj->tj", y[i], gt[:, :, r:], out=buf[:, r:])
-        np.abs(np.subtract(s1[:, r:c], row, out=row), out=row)
-        near[:, r] = np.einsum("tj,tj->t", row, wt[:, r:])
-        diag[:, r] = row[:, 0] * wt[:, r]
-        prop[:, r] = s1[:, c:]
-    anchor = -np.einsum("tak,ktj->taj", y[np.maximum(first[:, None] + np.arange(2), 0)], gt)
-    anchor[:, 0] += s1[:, :c]
-    anchor[:, 1] += s2[:, :c]
+        row = y_dot_g(i, r)
+        np.abs(np.subtract(s1[r:c], row, out=row), out=row)
+        near[:, r] = np.einsum("jt,jt->t", row, wt[r:])
+        diag[:, r] = row[0] * wt[r]
+        prop[:, r] = s1[c:].T
+    del alpha, beta, t, d0, d1, wt
+    anchor = np.empty((n_tiles, 2, c))
+    for a, state in enumerate((s1, s2)):
+        v = y_dot_g(np.maximum(first + a, 0), 0)
+        anchor[:, a] = np.subtract(state[:c], v, out=v).T
     return near.ravel()[pad:], diag.ravel()[pad:], prop.reshape(-1, 2)[pad:], anchor
 
 
@@ -165,22 +202,29 @@ def inv_constant_exact(
 
     1. _near_triangles: the diagonal and first off-diagonal of T, from
        the same relation at j = i and j = i + 1 (Takahashi, Fagan & Chin
-       1973), one banded back substitution in scalar rows.
+       1973), one banded back substitution in scalar rows, in segments.
     2. _near_triangles: from those, the row recurrence up every tile at
        once gives the tile's triangle j >= i of M, hence its row
        sums and |M_ii|; the propagator P = -U_tt^-1 U_ta of each row, so
        that T[t, j] = P T[a, j] past the tile and (for M unweighted)
        M[t, j] = coef @ [M[a, j]; g_j], coef = [P, P y_a - y_t]; and the
        top two rows of M in each tile, the next tile's anchor.
-    3. The far sweep, tile by tile: the columns past the tile go in
-       chunks of about sqrt(m), one component (parity of j) at a time.
-       The min and max of each generator over a chunk bound M[r, j], and
-       where that bound keeps one sign the chunk adds
-       |coef_r . sum_j gen_j w_j|; only the rows whose bound straddles 0
-       sum the chunk entry by entry.  As diag(s) L diag(s) is a Stieltjes
-       matrix, a row of M changes sign only a few times per component, so
-       that is a few chunks per row.  The anchor and the chunk bounds
-       and sums are then carried to the tile above.
+    3. The far sweep, up groups of GROUP_TILES tiles.  Each tile sums
+       the group's columns past it, and those up to the group's first
+       chunk, entry by entry, from the anchor rows over those columns,
+       re-based tile by tile; and carries its coef onto the generators
+       of the group, gen = [M[a, j]; g_j] with a the group's anchor, by
+       acc = [step @ acc; I].  Past the group the columns go in chunks
+       of about sqrt(m), one component (parity of j) at a time.  The
+       range of each generator over a chunk, as midpoint and radius,
+       bounds M[r, j], and where that bound keeps one sign the chunk adds
+       |coef_r . sum_j gen_j w_j|; only the (row, chunk) pairs whose
+       bound holds 0 are summed entry by entry, once per group.  As
+       diag(s) L diag(s) is a Stieltjes matrix, a row of M changes sign
+       only a few times per component, so that is a few chunks per row.
+       Once per group, the anchor past it (an O(m) product) and the
+       chunk ranges and sums are then carried to the group above, the
+       ranges made exact again where they straddled.
 
     Only the sums over j >= i are formed: operator, weights and
     projector commute with the reflection, so M[m-1-i, m-1-j] = M[i, j]
@@ -208,14 +252,14 @@ def inv_constant_exact(
     upper, diag, prop, anchor = _near_triangles(factor, yp, g, weights, c)
     width = CHUNK_COLUMNS * max(1, math.isqrt(m // (64 * CHUNK_COLUMNS)))   # ~ sqrt(m)
     n_chunks = -(-m // width)
-    # the generators, zero past m: the anchor M[i1:i1+2, j] for j >= i1, g^T
+    # the generators, zero past m: the anchor M[g1:g1+2, j] for j >= g1, g^T
     gen = np.zeros((2 + k, max(n_chunks * width, m + 2)))
     gen[2:, :m] = g
     wpad = np.concatenate((weights, np.zeros(gen.shape[1] - m)))
     # per chunk q and component (parity of j), in columns 2q and 2q+1: the
-    # box [min; -max] and the sums of gen * w (the anchor's: past the tile)
-    box = np.zeros((4 + 2 * k, 2 * n_chunks))
-    sums = np.zeros((2 + k, 2 * n_chunks))
+    # midpoint and radius of each generator's range, and its sums of gen * w
+    # (the anchor's: past the group)
+    mid, rad, sums = np.zeros((3, 2 + k, 2 * n_chunks))
 
     def columns(q):
         """Columns and weights of chunks q, a row per chunk and component;
@@ -225,48 +269,79 @@ def inv_constant_exact(
         return last.reshape(-1, width // 2), wpad[cols].reshape(-1, width // 2)
 
     def chunk_stats(rows, q):
-        """Exact box and sums of gen[rows] over the chunks q."""
+        """Exact ranges and sums of gen[rows] over the chunks q."""
         cols, w = columns(q)
         v = gen[rows[:, None, None], cols]
         r, idx = rows[:, None], (2 * q[:, None] + np.arange(2)).ravel()
-        box[r, idx], box[r + 2 + k, idx] = v.min(axis=2), -v.max(axis=2)
+        lo, hi = v.min(axis=2), v.max(axis=2)
+        mid[r, idx], rad[r, idx] = 0.5 * (lo + hi), 0.5 * (hi - lo)
         sums[r, idx] = np.einsum("rqj,qj->rq", v, w)
 
-    def bounds(a, s):
-        """[lo; -hi] of a @ gen over the chunks s, by interval arithmetic."""
-        a = np.hstack((a, -a))
-        return np.maximum(np.vstack((a, -a)), 0.0) @ box[:, s]
+    def abs_dot(a, v, w):
+        """|a @ v| @ w, through one temporary."""
+        p = a @ v
+        return np.abs(p, out=p) @ w
 
-    chunk_stats(np.arange(2, 2 + k), np.arange(n_chunks))
-    for top, i1 in zip(anchor[::-1], range(m, 0, -c)):
-        i0 = max(0, i1 - c)
-        coef = np.hstack((prop[i0:i1], prop[i0:i1] @ yp[i1: i1 + 2] - yp[i0:i1]))
-        # the far block, entry by entry up to the first chunk past the tile
-        qa = -(-i1 // width)
-        s = slice(2 * qa, None)
-        far = np.abs(coef @ gen[:, i1: qa * width]) @ wpad[i1: qa * width]
-        if qa < n_chunks:
-            b = bounds(coef, s)
-            # lo < 0 < hi; exact zeros certify
-            straddle = (b[:i1 - i0] < 0) & (b[i1 - i0:] < 0)
-            chunk = np.abs(coef @ sums[:, s])
-            blocks = np.flatnonzero(straddle.any(axis=0))
-            for blk in blocks:      # sum the rows that straddle entry by entry
-                rows = np.flatnonzero(straddle[:, blk])
-                j = slice((qa + blk // 2) * width + blk % 2, (qa + blk // 2 + 1) * width, 2)
-                v = coef[rows] @ gen[:, j]
-                chunk[rows, blk] = np.abs(v, out=v) @ wpad[j]
-            if blocks.size:         # carried boxes widen: reset
-                chunk_stats(np.arange(2), qa + np.unique(blocks // 2))
-            far += chunk.sum(axis=1)
-        upper[i0:i1] += far
-        # the next anchor, rows i0 and i0+1 (for c = 1, i0+1 is the old i1)
-        step = np.vstack((coef, np.eye(2, 2 + k)))[:2]
-        gen[:2, i1:] = step @ gen[:, i1:]
-        gen[:2, i0:i1] = top[:, c - (i1 - i0):]
-        box[[0, 1, 2 + k, 3 + k], s], sums[:2, s] = bounds(step, s), step @ sums[:, s]
-        if i0 <= (qa - 1) * width:      # chunks now wholly past the next tile
-            chunk_stats(np.arange(2), np.arange(-(-i0 // width), qa))
+    def certified(a, s, straddle):
+        """Sum over the chunks s of |a @ gen| w where the range of a @ gen,
+        a @ mid +- |a| @ rad, keeps one sign; straddle flags the (row,
+        chunk) pairs where it holds 0 inside (exact zeros certify)."""
+        centre = a @ mid[:, s]
+        np.less(np.abs(centre, out=centre), np.abs(a) @ rad[:, s], out=straddle)
+        del centre
+        chunk = a @ sums[:, s]
+        np.abs(chunk, out=chunk)[straddle] = 0.0
+        return chunk.sum(axis=1)
+
+    for q in np.array_split(np.arange(n_chunks), -(-n_chunks // 64)):   # bounded temporaries
+        chunk_stats(np.arange(2, 2 + k), q)
+    eye = np.eye(2 + k)
+    tiles = list(zip(anchor[::-1], range(m, 0, -c)))
+    for first in range(0, len(tiles), GROUP_TILES):
+        group = tiles[first:first + GROUP_TILES]
+        g1, g0 = group[0][1], max(0, group[-1][1] - c)
+        qa = -(-g1 // width)            # the first chunk past the group
+        e, s = qa * width, slice(2 * qa, None)
+        # up to that chunk, the tile's anchor rows and g, summed entry by
+        # entry; the group's rows on the generators of the chunks past it,
+        # and their straddles
+        loc = gen[:, g0:e].copy()
+        acc = eye.copy()
+        coefs = np.empty((g1 - g0, 2 + k))
+        straddle = np.zeros((g1 - g0, 2 * (n_chunks - qa)), dtype=bool)
+        for top, i1 in group:
+            i0 = max(0, i1 - c)
+            own, rows = slice(i1 - g0, None), slice(i0 - g0, i1 - g0)
+            p = prop[i0:i1]
+            coef = np.concatenate((p, p @ yp[i1: i1 + 2] - yp[i0:i1]), axis=1)
+            cg = np.matmul(coef, acc, out=coefs[rows])
+            far = abs_dot(coef, loc[:, own], wpad[i1:e])
+            if qa < n_chunks:       # the straddles summed for the whole group below
+                far += certified(cg, s, straddle[rows])
+            upper[i0:i1] += far
+            # the tile's next anchor, rows i0 and i0+1 (for one row, i0+1 is
+            # the old i1), up to the chunks and on the group's generators
+            step = coef[:2] if i1 - i0 > 1 else np.concatenate((coef, eye[:1]))
+            loc[:2, own] = step @ loc[:, own]
+            loc[:2, rows] = top[:, c - (i1 - i0):]
+            acc[:2] = step @ acc
+        hit = straddle.any(axis=0)
+        for blk in np.flatnonzero(hit):     # sum the rows that straddle entry by entry
+            rows = np.flatnonzero(straddle[:, blk])
+            j = slice((qa + blk // 2) * width + blk % 2, (qa + blk // 2 + 1) * width, 2)
+            upper[g0 + rows] += abs_dot(coefs[rows], gen[:, j], wpad[j])
+        # the next group's anchor, rows g0 and g0+1, and its chunk stats:
+        # carried, but exact for the chunks now wholly past the next group
+        # and, as carried ranges widen, for those that straddled
+        step = acc[:2]
+        gen[:2, e:] = step @ gen[:, e:]
+        gen[:2, g0:e] = loc[:2]
+        mid[:2, s], sums[:2, s] = step @ mid[:, s], step @ sums[:, s]
+        rad[:2, s] = np.abs(step) @ rad[:, s]
+        exact = np.concatenate((np.arange(-(-g0 // width), qa),
+                                qa + np.flatnonzero(hit.reshape(-1, 2).any(axis=1))))
+        if exact.size:
+            chunk_stats(np.arange(2), exact)
     # M[m-1-i, m-1-j] = M[i, j]: the lower row sums are the upper ones reversed
     return float(np.max(upper + upper[::-1] - diag))
 
@@ -304,24 +379,32 @@ def inv_constant_estimate(
 
     rng = np.random.default_rng(seed)
     best = 0.0
+    seen = {}       # row j -> (est, z test passed, next row) of the iterate x = e_j
     for restart in range(ESTIMATE_RESTARTS):
         if restart == 0:
             x = np.full(m, 1.0 / m)
         else:
             x = rng.choice([-1.0, 1.0], size=m) / m
-        est_prev = 0.0
+        j, est_prev = None, 0.0
         for _ in range(ESTIMATE_MAX_ITERS):
-            y = mt_apply(x)
-            est = float(np.sum(np.abs(y)))
-            xi = np.sign(y)
-            xi[xi == 0.0] = 1.0
-            z = m_apply(xi)
+            if j in seen:       # restarts converge to the same rows: replay
+                est, stop, nxt = seen[j]
+            else:
+                y = mt_apply(x)
+                est = float(np.sum(np.abs(y)))
+                xi = np.sign(y)
+                xi[xi == 0.0] = 1.0
+                z = m_apply(xi)
+                stop = float(np.max(np.abs(z))) <= float(z @ x)
+                nxt = int(np.argmax(np.abs(z)))
+                if j is not None:
+                    seen[j] = est, stop, nxt
             best = max(best, est)
-            if est <= est_prev or float(np.max(np.abs(z))) <= float(z @ x):
+            if est <= est_prev or stop:
                 break
-            est_prev = est
+            est_prev, j = est, nxt
             x = np.zeros(m)
-            x[int(np.argmax(np.abs(z)))] = 1.0
+            x[j] = 1.0
     return best
 
 

@@ -335,10 +335,19 @@ def _potentials(p: ProfileTable, x):
 
 def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
     """Assemble the operator; potentials come from the profile table
-    (tail extension supplies them for R beyond the table)."""
+    (tail extension supplies them for R beyond the table).  The nodes
+    x <= 0 are evaluated and those x > 0 are their mirrors with the
+    components swapped, which is what _potentials gives there bit for
+    bit, as the grid is mirror exact."""
     if not (np.isfinite(omega) and omega >= 0):
         raise ValueError("omega must be finite and nonnegative")
-    return DiscreteOperator(grid, omega, *_potentials(p, grid.interior))
+    n = grid.N - 2
+    half = (n + 1) // 2
+    pot1, pot2, coup = _potentials(p, grid.interior[:half])
+    mirror = slice(n - half - 1, None, -1)      # the mirrors of the nodes x > 0
+    return DiscreteOperator(grid, omega, np.concatenate((pot1, pot2[mirror])),
+                            np.concatenate((pot2, pot1[mirror])),
+                            np.concatenate((coup, coup[mirror])))
 
 
 def apply_between(p: ProfileTable, omega: float, u: PairGridFunction, lo: int, hi: int):

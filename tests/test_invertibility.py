@@ -158,6 +158,31 @@ class TestExactNorm:
         assert np.max(np.abs(anchor[:-1, 1, 0] - np.diag(inv, 1))) <= 1e-12 * scale
         assert anchor[-1, 1, 0] == 0.0 and np.array_equal(diag, anchor[:, 0, 0])
 
+    @pytest.mark.parametrize("segment", [2, 6, 64, 250])
+    def test_inverse_diagonals_in_segments(self, table, monkeypatch, segment):
+        # the back substitution in segments of a few unknowns, the top one
+        # ragged, gives the diagonals of one substitution bit for bit
+        grid = Grid(10.0, 201)
+        op = assemble(table, 0.0, grid)
+        m = op.n_unknowns
+        inv = np.linalg.inv(dense_matrix(table, 0.0, grid))
+        args = (op.cholesky, np.zeros((m + 2, 1)), np.zeros((1, m)), np.ones(m), 1)
+        whole = _near_triangles(*args)[3]
+        calls = []
+
+        def counting_gbsv(kl, ku, band, b):
+            calls.append(np.shape(band)[1])
+            return gbsv(kl, ku, band, b)
+
+        monkeypatch.setattr(invertibility, "gbsv", counting_gbsv)
+        monkeypatch.setattr(invertibility, "SOLVE_SEGMENT", segment)
+        anchor = _near_triangles(*args)[3]
+        assert len(calls) == -(-2 * m // segment) and max(calls) <= segment + 4
+        assert np.array_equal(anchor, whole)
+        scale = np.max(np.abs(inv))
+        assert np.max(np.abs(anchor[:, 0, 0] - np.diag(inv))) <= 1e-12 * scale
+        assert np.max(np.abs(anchor[:-1, 1, 0] - np.diag(inv, 1))) <= 1e-12 * scale
+
     def test_one_triangular_solve(self, table, monkeypatch):
         # the diagonal and first off-diagonal of L^-1 take one back
         # substitution; the tiles, whatever their height, add no other
@@ -267,6 +292,35 @@ class TestReflection:
         assert rel_sup(w[::-1], w) <= 1e-12
 
 
+def solving_estimate(op, ctx, elements, seed=42):
+    """The Hager estimate as inv_constant_estimate computes it, with every
+    step's two solves made, also at rows an earlier restart followed."""
+    m = op.n_unknowns
+    weights = _interior_weights(op, ctx)
+    proj = Projector(elements, op.grid, ctx)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for restart in range(invertibility.ESTIMATE_RESTARTS):
+        if restart == 0:
+            x = np.full(m, 1.0 / m)
+        else:
+            x = rng.choice([-1.0, 1.0], size=m) / m
+        est_prev = 0.0
+        for _ in range(invertibility.ESTIMATE_MAX_ITERS):
+            y = weights * proj.apply_transpose(op.solve_interior(x))
+            est = float(np.sum(np.abs(y)))
+            xi = np.sign(y)
+            xi[xi == 0.0] = 1.0
+            z = op.solve_interior(proj.apply(weights * xi))
+            best = max(best, est)
+            if est <= est_prev or float(np.max(np.abs(z))) <= float(z @ x):
+                break
+            est_prev = est
+            x = np.zeros(m)
+            x[int(np.argmax(np.abs(z)))] = 1.0
+    return best
+
+
 class TestEstimate:
     def test_lower_bound_and_quality(self, table, small_case):
         _, op, _ = small_case
@@ -297,6 +351,26 @@ class TestEstimate:
         monkeypatch.setattr(invertibility, "ESTIMATE_RESTARTS", 1)
         e1 = inv_constant_estimate(op, ctx, orth_elements=elements, seed=42)
         assert e5 >= e1
+
+    @pytest.mark.parametrize("theta, omega, r_val, k", [(0.5, 0.0, 40.0, 1), (0.5, 0.0, 80.0, 1),
+                                                        (0.5, 0.05, 80.0, 2), (0.3, 0.2, 20.0, 1),
+                                                        (0.7, 0.0, 80.0, 2)])
+    def test_replayed_rows_give_the_same_estimate(self, table, monkeypatch, theta, omega,
+                                                   r_val, k):
+        # a restart that reaches a row an earlier one followed replays its
+        # record: the estimate of the loop that solves at every step, bit
+        # for bit, from fewer solves
+        grid = Grid(r_val, int(80 * r_val) + 1)
+        op = assemble(table, omega, grid)
+        ctx = NormContext(theta)
+        kb = kernel_basis(table, grid)
+        elements = [kb.z1, kb.z2][:k]
+        calls = count_operator_calls(monkeypatch)
+        est = inv_constant_estimate(op, ctx, orth_elements=elements)
+        replayed = calls["solves"]
+        calls["solves"] = 0
+        assert solving_estimate(op, ctx, elements) == est
+        assert replayed < calls["solves"]
 
     def test_plain_estimate_is_exact_k(self, table):
         # without constraints the estimate is plain K's one solve, bit for

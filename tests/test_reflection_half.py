@@ -14,7 +14,9 @@ from segkernel.invertibility import (
     smallest_eigenvalue,
 )
 from segkernel.norms import NormContext
-from segkernel.operator1d import DiscreteOperator, Grid, assemble
+from segkernel import operator1d
+from segkernel.operator1d import DiscreteOperator, Grid, _potentials, assemble
+from segkernel.profile import eval_profile
 from oracles import band_to_dense
 
 GRIDS = [(10.0, 201), (10.0, 200), (40.0, 3201), (40.0, 3200), (800.0, 64000)]
@@ -47,6 +49,25 @@ def test_band_is_mirror_exact(table, r_val, n, omega):
     band = assemble(table, omega, Grid(r_val, n)).band
     for k, row in zip((2, 1, 0), band):
         assert np.array_equal(row[k:], row[k:][::-1]), k
+
+
+@pytest.mark.parametrize("r_val, n", GRIDS + [(10.0, 5), (10.0, 6)], ids=lambda v: str(v))
+def test_potentials_from_the_left_half(table, monkeypatch, r_val, n):
+    # assemble evaluates the profile at the nodes x <= 0 only, and mirrors
+    # them to what evaluating every node gives, bit for bit
+    grid = Grid(r_val, n)
+    points = []
+
+    def recording(p, x):
+        points.append(np.asarray(x))
+        return eval_profile(p, x)
+
+    monkeypatch.setattr(operator1d, "eval_profile", recording)
+    op = assemble(table, 0.3, grid)
+    assert len(points) == 1 and len(points[0]) == (n - 1) // 2
+    assert np.all(grid.interior[:len(points[0])] <= 0.0)
+    for got, want in zip((op.pot1_0, op.pot2_0, op.coup), _potentials(table, grid.interior)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd-N", "even-N"])
