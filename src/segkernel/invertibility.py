@@ -41,7 +41,7 @@ import numpy as np
 
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
-from .lapack import gbsv, pbtrs
+from .lapack import gbsv
 from .norms import NormContext, Projector, cosh_weights, kernel_basis
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
@@ -189,13 +189,14 @@ def inv_constant_exact(
     Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
     row sums are s * solve(s * w); s * w is J-odd, so that is one
-    op.solve_odd, the max over the first half of the rows.
+    op.solve_odd, the max over the first half of the rows (the fold
+    refuses negative coupling, where the identity fails).
 
     Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
     T = L^-1, y = L^-1 carriers and g^T = gram_inv @ zrows; no unit
     column is solved and T is never formed.  With L = U^T U, U =
-    op.cholesky (which also solves the carriers, not op.solve_interior:
-    M cancels T against y g^T, so both need one factor), (U T)_ij = 0
+    op.factorization(), whose solve_interior gives y (M cancels T
+    against y g^T, so both come from that one factor), (U T)_ij = 0
     for j > i: past its diagonal, each row of T is a combination of the
     two rows below it.  Rows go in tiles of TILE_ROWS from the bottom up,
     the two rows a below a tile its anchor, and the work is split in three:
@@ -233,8 +234,6 @@ def inv_constant_exact(
     """
     m = op.n_unknowns
     if not orth_elements:
-        if np.any(op.odd_band[1] < 0):
-            raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
         s, w = _odd_half(op, lambda x: cosh_weights(x, ctx.theta))
         return float(np.max(s * op.solve_odd(s * w)))
 
@@ -246,8 +245,8 @@ def inv_constant_exact(
     proj = Projector(orth_elements, op.grid, ctx)
     k = len(proj.zrows)
     c = min(TILE_ROWS, m)
-    factor = op.cholesky
-    yp = np.vstack((pbtrs(factor, proj.carriers), np.zeros((2, k))))
+    factor = op.factorization()
+    yp = np.vstack((op.solve_interior(proj.carriers), np.zeros((2, k))))
     g = proj.gram_inv @ proj.zrows
     upper, diag, prop, anchor = _near_triangles(factor, yp, g, weights, c)
     width = CHUNK_COLUMNS * max(1, math.isqrt(m // (64 * CHUNK_COLUMNS)))   # ~ sqrt(m)

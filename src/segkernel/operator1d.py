@@ -9,12 +9,14 @@ is discretized on a uniform grid over (-R, R) with homogeneous
 Dirichlet endpoints, second-order central differences, and the two
 unknowns interleaved per node, giving a symmetric banded matrix with
 half-bandwidth 2 over the 2(N-2) interior unknowns.  The band is built
-on first use, and the factorization once per operator and reused for
-every solve.  The coupling 2 V1 V2 vanishes where the profile's tail
-extension sets one component to zero, so the factorization eliminates
-those uncoupled tails first, as one tridiagonal, and then Cholesky-
-factors the small coupled core.  The potentials are mirror exact, so
-on reflection-odd vectors L is a half-size band with half the tails.
+on first use, and each matrix is factored once per operator: L by a
+banded Cholesky factorization in natural order, reused for every
+general solve and read by constrained K.  The potentials are mirror
+exact, so on reflection-odd vectors L is a half-size band, the fold.
+The coupling 2 V1 V2 vanishes where the profile's tail extension sets
+one component to zero, so the fold's factorization eliminates those
+uncoupled tails first, as one tridiagonal, and then Cholesky-factors
+the small coupled core.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatch, SingularSystem
+from .errors import GridMismatch, SegkernelError, SingularSystem
 from .lapack import pbtrf, pbtrs, pttrf, pttrs
 from .profile import ProfileTable, eval_profile
 
@@ -102,9 +104,10 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with cached tail-first factorizations of
-    L and of its fold on J-odd vectors; smallest_pivot is the smallest
-    pivot of the elimination computed last, set once it is computed.
+    """Assembled banded operator with two cached factorizations: L's
+    banded Cholesky factor and the tail-first factorization of its fold on
+    J-odd vectors; smallest_pivot is the smallest pivot of the one
+    computed last, set once it is computed.
 
     It keeps the omega-free potentials; omega^2 enters only the diagonal,
     so L(omega) = L(0) + omega^2 I exactly.
@@ -143,57 +146,55 @@ class DiscreteOperator:
         band[0, 2:] = -1.0 / h2            # same-component neighbors
         return band
 
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        """Banded Cholesky factor U (L = U^T U) of the whole band in
-        natural order, built on first use: constrained K reads U itself.
-        Raises SingularSystem under the rules of factorization."""
-        factor = _factored(pbtrf, self.band)
-        _smallest_pivot(factor[2] ** 2, self.band)
-        return factor
-
-    def factorization(self) -> TailFirst:
-        """The tail-first factorization of L, computed once.
+    def factorization(self) -> np.ndarray:
+        """The banded Cholesky factor U of L (L = U^T U) in natural order,
+        computed once: every general solve uses it, and constrained K reads
+        U itself.
 
         Raises SingularSystem when the matrix is not numerically
-        positive definite or a pivot of this elimination falls below
+        positive definite or a pivot U_ii^2 falls below
         PIVOT_TOL * max(diagonal); the smallest pivot is kept for
         diagnostics (relevant for the flagged omega = 0 regime).
         """
         if self._factor is None:
-            self._factor, self.smallest_pivot = _tail_first(self.band, *self._hull)
+            factor = _factored(pbtrf, self.band)
+            self.smallest_pivot = _smallest_pivot(factor[2] ** 2, self.band)
+            self._factor = factor
         return self._factor
 
     def odd_factorization(self) -> TailFirst:
         """The factorization, computed once, of L on J-odd vectors [a; -a
         reversed], J the reversal of the interleaved unknowns (x -> -x with
         u1 <-> u2), which commutes with L when its potentials are mirror
-        exact (else ValueError).  There L is B, the band's first m/2 columns
-        less the two entries linking the last one across the middle, with
-        L's left two chains as tails.  The even fold B+ (those entries
-        added) is factored for its pivots: L is positive definite iff B and
-        B+ are, so SingularSystem and smallest_pivot keep their meaning."""
+        exact (else ValueError).  There L is the fold B, the band's first
+        m/2 columns less the two entries linking the last one across the
+        middle, its tails the uncoupled u1 and u2 from the left end.
+
+        B alone decides whether L is positive definite, when the coupling
+        is nonnegative (else SegkernelError): with s = (+1, -1, ...),
+        diag(s) L diag(s) is then an irreducible Z-matrix, so an
+        eigenvector of lambda_min(L) is diag(s) p with p > 0 unique
+        (Perron-Frobenius), hence J-odd, and lambda_min(B) = lambda_min(L).
+        So SingularSystem means L is not positive definite, and the
+        PIVOT_TOL rule reads B's pivots."""
         if self._odd is None:
             if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
                     and np.array_equal(self.coup, self.coup[::-1])):
                 raise ValueError("potentials not mirror exact: L does not commute with J")
+            if np.any(self.coup < 0):
+                raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
             band, h = self.odd_band, self.n_unknowns // 2
-            a = min(self._hull[0], 2 * (h // 2 - 1))     # the core holds h-2 and h-1
-            odd, even = band[:, :h].copy(), band[:, a:h].copy()
-            odd[1:, -1] -= band[:2, h]
-            even[1:, -1] += band[:2, h]
-            self._odd, self.smallest_pivot = _tail_first(odd, a, h, even)
+            coupled = np.flatnonzero(self.coup[:(h + 1) // 2])
+            # the core starts at the first coupled node and holds h-2 and h-1
+            a = 2 * min(int(coupled[0]) if coupled.size else h, h // 2 - 1)
+            fold = band[:, :h].copy()
+            fold[1:, -1] -= band[:2, h]
+            self._odd, self.smallest_pivot = _tail_first(fold, a)
         return self._odd
-
-    @cached_property
-    def _hull(self) -> tuple:
-        """The core's first and end unknown: the coupled hull, or the last node."""
-        nz, n = np.flatnonzero(self.coup), self.grid.N - 2
-        return (2 * int(nz[0]), 2 * int(nz[-1]) + 2) if nz.size else (2 * n - 2, 2 * n)
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for interleaved interior unknowns; rhs may be a matrix."""
-        return _solve(self.factorization(), rhs, self.n_unknowns)
+        return pbtrs(self.factorization(), rhs)
 
     def solve_odd(self, rhs: np.ndarray) -> np.ndarray:
         """solve_interior([rhs; -rhs reversed])[:m/2], one solve with B."""
@@ -220,8 +221,8 @@ class DiscreteOperator:
 
 
 class TailFirst(NamedTuple):
-    """L factored tail first.  Tail positions run chain by chain, core
-    positions from the core's first unknown."""
+    """A band factored tail first.  Tail positions run chain by chain,
+    core positions from the core's first unknown."""
 
     chains: tuple           # each chain's unknowns, a slice
     d: np.ndarray           # pttrf of the tails
@@ -234,39 +235,30 @@ class TailFirst(NamedTuple):
     core_factor: np.ndarray  # pbtrf of the core's Schur complement
 
 
-def _tail_first(band, a, b, *twins):
-    """band factored tail first, its core the unknowns a..b-1 (a even),
-    and the smallest pivot.  Outside the core the band is up to four
-    uncoupled chains, left u1 and u2 and right u1 and u2 reversed: one
-    tridiagonal with zero joins, one L D L^T.  The exact Schur complement
-    of the tails takes link^2 / d_end off the core diagonal next to each
-    chain's end (link = -1/h^2, d_end the chain's last pivot); the core,
-    and twins (cores with the same tails, for their pivots only), are
-    then Cholesky-factored.  A chain's response q to the unit vector u at
-    its end needs no solve: L^T q = u / d_end, as the unit lower factor
-    leaves u as it is, so q is 1/d_end times the running product of -e
-    taken back from the end."""
-    m, link, c = band.shape[1], band[0, -1], b - a
-    # (unknowns, core position next to its end, length) per chain
-    chains = [(s, j, k) for s, j, k in (
-        (slice(0, a, 2), 0, a // 2), (slice(1, a, 2), 1, a // 2),
-        (slice(m - 2, b - 1, -2), c - 2, (m - b) // 2),
-        (slice(m - 1, b, -2), c - 1, (m - b) // 2)) if k]
-    slices = tuple(s for s, _, _ in chains)
-    joins = np.array([j for _, j, _ in chains], dtype=int)
-    lengths = [k for _, _, k in chains]
-    ends = np.cumsum(lengths, dtype=int) - 1
-    e = np.full(sum(lengths), link)
-    e[ends] = 0.0       # the joins between chains
-    d, e = _factored(pttrf, _gather(band[2], slices), e[:-1])
-    factors = []
-    for core in (band[:, a:b].copy(), *twins):
-        np.subtract.at(core[2], joins, link ** 2 / d[ends])
-        factors.append(_factored(pbtrf, core))
-    smallest = _smallest_pivot(np.concatenate([d] + [f[2] ** 2 for f in factors]), band)
-    q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n_k:k][::-1]))[::-1, None]
-         for k, n_k in zip(ends, lengths)]
-    return TailFirst(slices, d, e, q, ends, joins, link, slice(a, b), factors[0]), smallest
+def _tail_first(band, a):
+    """band factored tail first, its core the unknowns from a (even) to
+    the end, and the smallest pivot.  Before the core the band is two
+    uncoupled chains, u1 and u2: one tridiagonal with a zero join, one
+    L D L^T.  The exact Schur complement of the tails takes link^2 / d_end
+    off the core diagonal next to each chain's end (link = -1/h^2, d_end
+    the chain's last pivot); the core is then Cholesky-factored.  A
+    chain's response q to the unit vector u at its end needs no solve:
+    L^T q = u / d_end, as the unit lower factor leaves u as it is, so q is
+    1/d_end times the running product of -e taken back from the end."""
+    link, n = band[0, -1], a // 2
+    chains = (slice(0, a, 2), slice(1, a, 2)) if n else ()
+    joins = np.arange(len(chains))      # the core's first u1 and u2
+    ends = n * joins + n - 1
+    e = np.full(a, link)
+    e[ends] = 0.0       # the join between the chains
+    d, e = _factored(pttrf, _gather(band[2], chains), e[:-1])
+    core = band[:, a:].copy()
+    np.subtract.at(core[2], joins, link ** 2 / d[ends])
+    core_factor = _factored(pbtrf, core)
+    smallest = _smallest_pivot(np.concatenate((d, core_factor[2] ** 2)), band)
+    q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n:k][::-1]))[::-1, None] for k in ends]
+    return TailFirst(chains, d, e, q, ends, joins, link,
+                     slice(a, band.shape[1]), core_factor), smallest
 
 
 def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:

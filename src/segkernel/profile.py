@@ -184,23 +184,22 @@ def _fit_affine(x, y):
 
 
 def _model_tail(x, v2, a, b, floor=TAIL_TRUST_FLOOR):
-    """Continue the dying component below the round-off floor.
+    """Continue the dying component below the round-off floor; returns
+    it and the first node continued (len(x) if none).
 
     Uses the leading-order balance v2' ~ -(a*x+b) v2, anchored at the
     last node whose value is still trustworthy.
     """
     below = np.nonzero(v2 < floor)[0]
-    if below.size == 0:
-        return v2
+    if below.size == 0 or below[0] == 0:
+        return v2, len(x)
     k = int(below[0])
-    if k == 0:
-        return v2
     out = v2.copy()
     xa = x[k - 1]
     anchor = v2[k - 1]
     expo = -0.5 * a * (x[k:] ** 2 - xa * xa) - b * (x[k:] - xa)
     out[k:] = anchor * np.exp(expo)
-    return out
+    return out, k
 
 
 def _straighten_affine_tail(v1, v2, h):
@@ -250,12 +249,14 @@ _EDGE_STENCILS = {
 }
 
 
-def _table_derivatives(xs, v1, v2):
+def _table_derivatives(xs, v1, v2, a, b):
     """Fourth-order derivatives with mirror symmetry preserved exactly.
 
     Interior uses the centered five-point stencil (antisymmetric, so the
-    reflection identities dv1(-x) = -dv2(x) hold to the last bit); the
-    two nodes at +T use one-sided stencils and are mirrored to -T.
+    reflection identities dv1(-x) = -dv2(x) hold to the last bit).  At
+    the two nodes at +T, v1 takes one-sided stencils, and v2, which
+    _model_tail wrote there with (a, b), that model's exact derivative
+    -(a*x+b) v2; both are mirrored to -T.
     """
     n = xs.size
     h = (xs[-1] - xs[0]) / (n - 1)
@@ -267,10 +268,9 @@ def _table_derivatives(xs, v1, v2):
 
     dv1 = centered(v1)
     dv2 = centered(v2)
-    for comp, d in ((v1, dv1), (v2, dv2)):
-        pts = comp[-5:][::-1]
-        for back, w in _EDGE_STENCILS.items():
-            d[n - 1 - back] = np.dot(w, pts) / h
+    for back, w in _EDGE_STENCILS.items():
+        dv1[n - 1 - back] = np.dot(w, v1[-5:][::-1]) / h
+    dv2[-2:] = -(a * xs[-2:] + b) * v2[-2:]
     # overwrite the left half with the exact mirror of the right half:
     # v1(-x) = v2(x) implies dv1(-x) = -dv2(x), bit for bit
     j0 = (n - 1) // 2
@@ -329,7 +329,8 @@ def solve_profile(
     lo, hi = default_fit_window(T)
     sel = (x_half >= lo) & (x_half <= hi)
     a_prov, b_prov = _fit_affine(x_half[sel], v1h[sel])
-    v2h = _model_tail(x_half, v2h, a_prov, b_prov)
+    v2h, first_modeled = _model_tail(x_half, v2h, a_prov, b_prov)
+    assert first_modeled <= m - 2, "the edge derivatives of v2 need its last two nodes modeled"
     v1h = _straighten_affine_tail(v1h, v2h, h)
 
     j0 = m - 1
@@ -341,7 +342,7 @@ def solve_profile(
     v1[:j0] = v2h[:0:-1]
     v2[:j0] = v1h[:0:-1]
 
-    dv1, dv2 = _table_derivatives(xs, v1, v2)
+    dv1, dv2 = _table_derivatives(xs, v1, v2, a_prov, b_prov)
 
     if np.any(v1 <= 0) or np.any(v2 <= 0):
         raise MonotonicityViolation("profile has a non-positive node: wrong branch")

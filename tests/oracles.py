@@ -38,3 +38,15 @@ def band_to_dense(op):
     a[np.arange(m - 2), np.arange(2, m)] = op.band[0, 2:]
     a[np.arange(2, m), np.arange(m - 2)] = op.band[0, 2:]
     return a
+
+
+def residual_longdouble(band, x, b):
+    """b - A x in np.longdouble, A the symmetric matrix of an upper band
+    with two superdiagonals."""
+    a, x = band.astype(np.longdouble), x.astype(np.longdouble)
+    r = b - a[2] * x
+    r[1:] -= a[1, 1:] * x[:-1]
+    r[:-1] -= a[1, 1:] * x[1:]
+    r[2:] -= a[0, 2:] * x[:-2]
+    r[:-2] -= a[0, 2:] * x[2:]
+    return r

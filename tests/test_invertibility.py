@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segkernel import invertibility
+from segkernel import invertibility, operator1d
 from segkernel.errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
 from segkernel.lapack import gbsv, pbtrs
 from segkernel.invertibility import (
@@ -118,6 +118,7 @@ class TestExactNorm:
             op = assemble(table, omega, grid)
             m = op.n_unknowns
             calls = count_operator_calls(monkeypatch)
+            runs = 0
             for k in (1, 2):
                 elements = [kb.z1, kb.z2][:k]
                 k_dense = dense_k(table, op, ctx, elements)
@@ -129,18 +130,18 @@ class TestExactNorm:
                             shapes.append(rhs.shape)
                             return pbtrs(factor, rhs)
 
-                        monkeypatch.setattr(invertibility, "pbtrs", counting_pbtrs)
+                        monkeypatch.setattr(operator1d, "pbtrs", counting_pbtrs)
                         monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
                         monkeypatch.setattr(invertibility, "CHUNK_COLUMNS", width)
                         got = inv_constant_exact(op, ctx, orth_elements=elements)
+                        runs += 1
                         case = (omega, k, rows, width)
-                        # the carriers only, on the Cholesky factor that gives
-                        # L^-1: M cancels L^-1 against y g^T, so y must come
-                        # from the same factor, not from the tail-first solve
+                        # the carriers only, one solve_interior with the
+                        # Cholesky factor that gives L^-1
                         assert shapes == [(m, k)], case
                         assert abs(got - k_dense) / k_dense <= 1e-10, case
-            # no tail-first factor and no operator solve
-            assert calls == {"factorizations": 0, "solves": 0}
+            # L factored once, for every run, and no fold
+            assert calls == {"factorizations": 1, "solves": runs}
 
     @pytest.mark.parametrize("n", [201, 200])
     @pytest.mark.parametrize("omega", [0.0, 0.5])
@@ -151,7 +152,7 @@ class TestExactNorm:
         op = assemble(table, omega, grid)
         m = op.n_unknowns
         inv = np.linalg.inv(dense_matrix(table, omega, grid))
-        _, diag, _, anchor = _near_triangles(op.cholesky, np.zeros((m + 2, 1)),
+        _, diag, _, anchor = _near_triangles(op.factorization(), np.zeros((m + 2, 1)),
                                              np.zeros((1, m)), np.ones(m), 1)
         scale = np.max(np.abs(inv))
         assert np.max(np.abs(anchor[:, 0, 0] - np.diag(inv))) <= 1e-12 * scale
@@ -166,7 +167,7 @@ class TestExactNorm:
         op = assemble(table, 0.0, grid)
         m = op.n_unknowns
         inv = np.linalg.inv(dense_matrix(table, 0.0, grid))
-        args = (op.cholesky, np.zeros((m + 2, 1)), np.zeros((1, m)), np.ones(m), 1)
+        args = (op.factorization(), np.zeros((m + 2, 1)), np.zeros((1, m)), np.ones(m), 1)
         whole = _near_triangles(*args)[3]
         calls = []
 
@@ -384,15 +385,18 @@ class TestEstimate:
 
 def test_negative_coupling_fails_the_sign_structure(table):
     # -2 V1 V2 on the coupling row: D L D is then no Z-matrix, so neither
-    # plain K's sign-flip identity nor the lambda_min certificate holds
+    # plain K's sign-flip identity nor the Perron argument that lets the
+    # fold decide definiteness holds, and the lambda_min certificate fails
     grid = Grid(10.0, 201)
     op = assemble(table, 0.5, grid)
     flipped = DiscreteOperator(grid, 0.5, op.pot1_0, op.pot2_0, -op.coup)
     assert np.any(flipped.band[1] < 0)
-    with pytest.raises(SegkernelError, match="negative coupling"):
-        inv_constant_exact(flipped, NormContext(0.5))
-    with pytest.raises(NoConvergence, match="certificate"):
-        smallest_eigenvalue(flipped)
+    for compute in (lambda: inv_constant_exact(flipped, NormContext(0.5)),
+                    lambda: smallest_eigenvalue(flipped), flipped.odd_factorization):
+        with pytest.raises(SegkernelError, match="negative coupling"):
+            compute()
+    v = np.ones(flipped.n_unknowns // 2)
+    assert _perron_lower_bound(flipped.odd_band, v) == -np.inf
 
 
 class TestEigenvalue:

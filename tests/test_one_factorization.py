@@ -1,0 +1,84 @@
+"""Each matrix is factored once: L by one banded Cholesky factorization in
+natural order, its fold B on reflection-odd vectors by one tail-first
+elimination.  B alone decides whether L is positive definite, by the
+Perron argument: with coupling >= 0, diag(s) L diag(s), s = (+1, -1,
+...), is an irreducible Z-matrix, so an eigenvector of lambda_min(L) is
+diag(s) p with p > 0, J-odd, and lambda_min(B) = lambda_min(L)."""
+
+import numpy as np
+import pytest
+
+from segkernel import operator1d
+from segkernel.errors import SingularSystem
+from segkernel.invertibility import inv_constant_estimate, inv_constant_exact, smallest_eigenvalue
+from segkernel.lapack import pbtrf, pbtrs
+from segkernel.norms import NormContext, kernel_basis
+from segkernel.operator1d import DiscreteOperator, Grid, PairGridFunction, assemble
+from oracles import band_to_dense
+
+# odd and even N; R = 20 > T = 12 leaves the fold uncoupled tails
+GRIDS = [(10.0, 201), (10.0, 200), (20.0, 201), (20.0, 200)]
+
+
+def dense_fold(dense):
+    """B = L[:h, :h] - L[:h, h:] with its columns reversed, h = m/2."""
+    h = len(dense) // 2
+    return dense[:h, :h] - dense[:h, h:][:, ::-1]
+
+
+@pytest.mark.parametrize("r_val, n", GRIDS, ids=lambda v: str(v))
+def test_lambda_min_eigenvector_is_j_odd(table, r_val, n):
+    dense = band_to_dense(assemble(table, 0.0, Grid(r_val, n)))
+    lam, vec = np.linalg.eigh(dense)
+    s = np.tile([1.0, -1.0], len(dense) // 2)
+    v = vec[:, 0] * np.sign(s @ vec[:, 0])
+    resolved = np.abs(v) > 1e-8 * np.max(np.abs(v))     # signs above round-off
+    assert np.all((s * v)[resolved] > 0.0)
+    assert np.max(np.abs(v + v[::-1])) <= 1e-12
+    assert abs(np.linalg.eigvalsh(dense_fold(dense))[0] - lam[0]) <= 1e-12 * lam[-1]
+
+
+@pytest.mark.parametrize("r_val, n", GRIDS, ids=lambda v: str(v))
+def test_fold_refuses_indefinite_l(table, r_val, n):
+    # the potentials shifted midway between lambda_1 and lambda_2 of L:
+    # L has one negative eigenvalue, on a J-odd eigenvector, so B has it
+    # too and the fold's factorization refuses, as L's does
+    grid = Grid(r_val, n)
+    op0 = assemble(table, 0.0, grid)
+    eigs = np.linalg.eigvalsh(band_to_dense(op0))
+    shift = 0.5 * (eigs[0] + eigs[1])
+    op = DiscreteOperator(grid, 0.0, op0.pot1_0 - shift, op0.pot2_0 - shift, op0.coup)
+    assert np.all(op.coup >= 0.0)
+    for compute in (op.odd_factorization, op.factorization, lambda: smallest_eigenvalue(op)):
+        with pytest.raises(SingularSystem):
+            compute()
+    assert op.smallest_pivot is None
+
+
+def test_one_factor_per_matrix(table, monkeypatch):
+    # lambda(0), plain and constrained exact K, the Hager estimate and a
+    # solve on one omega = 0 operator: one pbtrf of L's whole band, one of
+    # the fold's core
+    grid = Grid(20.0, 201)
+    op = assemble(table, 0.0, grid)
+    shapes = []
+
+    def counting(band):
+        shapes.append(np.shape(band))
+        return pbtrf(band)
+
+    monkeypatch.setattr(operator1d, "pbtrf", counting)
+    ctx, elements = NormContext(0.5), [kernel_basis(table, grid).z1]
+    smallest_eigenvalue(op)
+    inv_constant_exact(op, ctx)
+    inv_constant_exact(op, ctx, orth_elements=elements)
+    inv_constant_estimate(op, ctx, orth_elements=elements)
+    rng = np.random.default_rng(0)
+    op.solve(PairGridFunction(grid, rng.standard_normal(grid.N), rng.standard_normal(grid.N)))
+    core = op.odd_factorization().core
+    assert 0 < core.start and shapes == [(3, core.stop - core.start), (3, op.n_unknowns)]
+    factor = pbtrf(op.band)
+    assert op.smallest_pivot == float(np.min(factor[2] ** 2))
+    assert np.array_equal(op.factorization(), factor)
+    for b in (rng.standard_normal(op.n_unknowns), rng.standard_normal((op.n_unknowns, 3))):
+        assert np.array_equal(op.solve_interior(b), pbtrs(factor, b))

@@ -111,6 +111,31 @@ class TestSolve:
         for prev, cur in zip(rhs, rhs[1:]):
             assert not np.array_equal(prev, cur)
 
+    @pytest.mark.parametrize("T, N", [(16.0, 801), (18.0, 801), (20.0, 801),
+                                      (24.0, 1601), (24.0, 2001)])
+    def test_coarse_grid_edge_keeps_dv1_positive(self, T, N):
+        # a one-sided stencil across the modeled tail gave dv1 < 0 at x = -T
+        # here (-3.6e-110 at T = 16); the model's own derivative keeps its sign
+        p = solve_profile(T=T, N=N, newton_tol=1e-9)
+        assert np.all(p.dv1 > 0)
+
+    def test_edge_derivatives_are_the_tail_models(self, table, monkeypatch):
+        # the default table, with dv2 at its last two nodes the derivative
+        # -(a x + b) v2 of the model _model_tail wrote there, with its (a, b)
+        fits = []
+        model_tail = profile._model_tail
+
+        def recording(x, v2, a, b):
+            fits.append((a, b))
+            return model_tail(x, v2, a, b)
+
+        monkeypatch.setattr(profile, "_model_tail", recording)
+        p = solve_profile()
+        assert np.array_equal(p.dv2, table.dv2) and np.array_equal(p.dv1, table.dv1)
+        (a, b), = fits
+        assert np.array_equal(p.dv2[-2:], -(a * p.nodes[-2:] + b) * p.v2[-2:])
+        assert np.array_equal(p.dv1[:2], -p.dv2[:-3:-1])
+
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(NoConvergence):
             solve_profile(T=12.0, N=1201, newton_tol=1e-15)

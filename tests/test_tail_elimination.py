@@ -1,5 +1,6 @@
-"""The tail-first factorization of DiscreteOperator: the uncoupled tails
-eliminated as one tridiagonal, then the coupled core as a band."""
+"""The tail-first factorization of B, L's fold on reflection-odd vectors:
+the uncoupled tails eliminated as one tridiagonal, then the coupled core
+as a band."""
 
 import numpy as np
 import pytest
@@ -8,58 +9,69 @@ from segkernel import operator1d
 from segkernel.errors import SingularSystem
 from segkernel.lapack import pbtrf, pbtrs, pttrs
 from segkernel.operator1d import DiscreteOperator, Grid, assemble
-from oracles import band_to_dense, dense_matrix
+from oracles import band_to_dense, dense_matrix, residual_longdouble
 
 
 def rhs(m, *cols, seed=0):
     return np.random.default_rng(seed).standard_normal((m, *cols))
 
 
-def residual_longdouble(band, x, b):
-    """b - L x in np.longdouble, L read off the upper band."""
-    a, x = band.astype(np.longdouble), x.astype(np.longdouble)
-    r = b - a[2] * x
-    r[1:] -= a[1, 1:] * x[:-1]
-    r[:-1] -= a[1, 1:] * x[1:]
-    r[2:] -= a[0, 2:] * x[:-2]
-    r[:-2] -= a[0, 2:] * x[2:]
-    return r
+def odd(a):
+    """The J-odd vector [a; -a reversed], a a vector or columns."""
+    return np.concatenate((a, -a[::-1]))
+
+
+def fold_band(op):
+    """The upper band of B = L[:h, :h] - L[:h, h:] with its columns
+    reversed, h = m/2: L's first h columns, less L's entries linking the
+    last one to column h."""
+    h = op.n_unknowns // 2
+    band = op.band[:, :h].copy()
+    band[1:, -1] -= op.band[:2, h]
+    return band
 
 
 def custom_operator(grid, coupled):
-    """An operator with random positive potentials and coupling only at
-    the interior nodes where coupled is true."""
+    """An operator with random positive mirror-exact potentials and
+    coupling only at the interior nodes where coupled, a mirror-symmetric
+    mask, is true."""
     rng = np.random.default_rng(1)
     n = grid.N - 2
-    coup = np.where(coupled, rng.uniform(0.1, 1.0, n), 0.0)
-    return DiscreteOperator(grid, 0.3, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n), coup)
+    pot, coup = rng.uniform(0.0, 2.0, n), rng.uniform(0.1, 1.0, n)
+    coup = np.where(coupled, coup + coup[::-1], 0.0)
+    return DiscreteOperator(grid, 0.3, pot, pot[::-1].copy(), coup)
 
 
 def layout_operator(table, layout):
     """The profile's operator at omega = 0.1 on Grid(R, N) for layout =
-    (R, N); else custom_operator on Grid(10, 101), coupled nowhere, left
-    of x = 2, right of x = -3, or at one node."""
+    (R, N); else custom_operator on Grid(10, 101), coupled nowhere, at
+    the fold's left end (|x| > 3), at its right end, the middle (|x| < 2),
+    or at one node (and its mirror)."""
     if isinstance(layout, tuple):
         return assemble(table, 0.1, Grid(*layout))
     grid = Grid(10.0, 101)
     x = grid.interior
-    coupled = {"none": np.zeros(len(x), bool), "left": x < 2.0, "right": x > -3.0,
-               "one node": np.arange(len(x)) == 40}[layout]
+    j = np.arange(len(x))
+    coupled = {"none": np.zeros(len(x), bool), "left": np.abs(x) > 3.0,
+               "right": np.abs(x) < 2.0,
+               "one node": (j == 40) | (j == len(x) - 41)}[layout]
     return custom_operator(grid, coupled)
 
 
 @pytest.mark.parametrize("n", [201, 200])
 @pytest.mark.parametrize("omega", [0.0, 0.5])
 def test_matches_dense_solve_with_tails(table, n, omega):
-    # at R = 20 > T = 12 the coupling vanishes on both sides
+    # at R = 20 > T = 12 the coupling vanishes near both ends: the fold has
+    # two chains, and its core runs from the coupled hull to the middle
     grid = Grid(20.0, n)
     op = assemble(table, omega, grid)
-    f = op.factorization()
-    assert 0 < f.core.start and f.core.stop < op.n_unknowns and len(f.chains) == 4
-    b = rhs(op.n_unknowns)
-    x = op.solve_interior(b)
-    want = np.linalg.solve(dense_matrix(table, omega, grid), b)
-    assert x.shape == b.shape
+    h = op.n_unknowns // 2
+    f = op.odd_factorization()
+    assert 0 < f.core.start and f.core.stop == h and len(f.chains) == 2
+    a = rhs(h)
+    x = op.solve_odd(a)
+    want = np.linalg.solve(dense_matrix(table, omega, grid), odd(a))[:h]
+    assert x.shape == a.shape
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -71,35 +83,40 @@ def test_multi_column_rhs(table):
     want = np.linalg.solve(dense_matrix(table, 0.2, grid), b)
     assert x.shape == (op.n_unknowns, 5)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    a = b[:op.n_unknowns // 2]
+    y = op.solve_odd(a)
     for j in range(5):
         assert np.array_equal(x[:, j], op.solve_interior(b[:, j]))
+        assert np.array_equal(y[:, j], op.solve_odd(a[:, j]))
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.3])
 def test_no_tail_grid_is_the_band_cholesky(table, omega):
-    # R = 10 <= T: every node is coupled, the core is the whole band
+    # R = 10 <= T: every node is coupled, the core is the whole fold
     op = assemble(table, omega, Grid(10.0, 201))
-    f = op.factorization()
-    assert f.chains == () and f.core == slice(0, op.n_unknowns)
-    factor = pbtrf(op.band)
+    h = op.n_unknowns // 2
+    f = op.odd_factorization()
+    assert f.chains == () and f.core == slice(0, h)
+    factor = pbtrf(fold_band(op))
     assert np.array_equal(f.core_factor, factor)
-    assert np.array_equal(f.core_factor, op.cholesky)
-    for b in (rhs(op.n_unknowns), rhs(op.n_unknowns, 3)):
-        assert np.array_equal(op.solve_interior(b), pbtrs(factor, b))
+    for b in (rhs(h), rhs(h, 3)):
+        assert np.array_equal(op.solve_odd(b), pbtrs(factor, b))
     assert op.smallest_pivot == float(np.min(factor[2] ** 2))
 
 
 @pytest.mark.parametrize("where", ["none", "left", "right", "one node"])
 def test_uncoupled_and_one_sided_coupling(where):
-    # no coupling at all: the core is the last node; coupling on one side,
-    # up to the grid's end: two chains; at one node, the left and right
-    # chains of a component join the same core unknown
+    # no coupling at all: the core is the fold's last three unknowns (of
+    # 99, the middle node's u1 among them); coupling at the fold's left
+    # end, up to the grid's end: no chains; coupling from some node to the
+    # middle, or at one node: two chains
     op = layout_operator(None, where)
-    f = op.factorization()
-    assert len(f.chains) == {"none": 2, "left": 2, "right": 2, "one node": 4}[where]
-    b = rhs(op.n_unknowns, 2)
-    want = np.linalg.solve(band_to_dense(op), b)
-    assert np.max(np.abs(op.solve_interior(b) - want)) <= 1e-12 * np.max(np.abs(want))
+    f = op.odd_factorization()
+    assert len(f.chains) == {"none": 2, "left": 0, "right": 2, "one node": 2}[where]
+    h = op.n_unknowns // 2
+    a = rhs(h, 2)
+    want = np.linalg.solve(band_to_dense(op), odd(a))[:h]
+    assert np.max(np.abs(op.solve_odd(a) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("layout", [(50.0, 4001), (50.0, 4000), (800.0, 64001),
@@ -116,8 +133,8 @@ def test_tail_response_needs_no_solve(table, monkeypatch, layout):
         return pttrs(*args)
 
     monkeypatch.setattr(operator1d, "pttrs", counting)
-    f = op.factorization()
-    assert calls == [] and len(f.q) == len(f.chains) > 0
+    f = op.odd_factorization()
+    assert calls == [] and len(f.q) == len(f.chains) == (0 if layout == "left" else 2)
     unit = np.zeros(len(f.d))
     unit[f.ends] = 1.0
     want = np.split(pttrs(f.d, f.e, unit), f.ends[:-1] + 1)
@@ -133,7 +150,7 @@ def test_pivot_rule_raises_and_keeps_no_pivot(table, monkeypatch, layout):
     monkeypatch.setattr(operator1d, "PIVOT_TOL", 1.0)
     op = layout_operator(table, layout)
     assert np.all(op.coup != 0.0) == (layout[0] == 10.0)
-    for factor in (op.factorization, lambda: op.cholesky):
+    for factor in (op.factorization, op.odd_factorization):
         with pytest.raises(SingularSystem, match="near-zero pivot"):
             factor()
         assert op.smallest_pivot is None
@@ -141,37 +158,41 @@ def test_pivot_rule_raises_and_keeps_no_pivot(table, monkeypatch, layout):
 
 @pytest.mark.parametrize("node", [3, 50])
 def test_indefinite_tail_or_core_raises(table, node):
-    # node 3 lies in a tail, node 50 in the core of the R = 20, N = 101 grid
+    # the potential lowered at node and, to keep L mirror exact, at its
+    # mirror: the fold holds node 3's u1, in a tail, and node 50's through
+    # its mirror's u2, in the core of the R = 20, N = 101 grid
     grid = Grid(20.0, 101)
+    n = grid.N - 2
     op0 = assemble(table, 0.0, grid)
-    assert op0.factorization().core.start < 2 * 50 < op0.factorization().core.stop
-    assert 2 * 3 < op0.factorization().core.start
-    pot1 = op0.pot1_0.copy()
+    core = op0.odd_factorization().core
+    assert 2 * 3 < core.start < 2 * (n - 1 - 50) + 1 < core.stop
+    pot1, pot2 = op0.pot1_0.copy(), op0.pot2_0.copy()
     pot1[node] -= 1e4
-    op = DiscreteOperator(grid, 0.0, pot1, op0.pot2_0, op0.coup)
-    with pytest.raises(SingularSystem):
-        op.factorization()
-    with pytest.raises(SingularSystem):
-        op.solve_interior(np.ones(op.n_unknowns))
-    with pytest.raises(SingularSystem):
-        op.cholesky
+    pot2[n - 1 - node] -= 1e4
+    op = DiscreteOperator(grid, 0.0, pot1, pot2, op0.coup)
+    for compute in (op.odd_factorization, lambda: op.solve_odd(np.ones(n)),
+                    op.factorization, lambda: op.solve_interior(np.ones(2 * n))):
+        with pytest.raises(SingularSystem):
+            compute()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("at", ["tail", "core"])
 def test_non_finite_rhs_raises_value_error(table, bad, at):
     op = assemble(table, 0.1, Grid(20.0, 201))
-    f = op.factorization()
-    b = np.ones(op.n_unknowns)
+    h = op.n_unknowns // 2
+    f = op.odd_factorization()
+    b = np.ones(h)
     b[0 if at == "tail" else f.core.start + 3] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        op.solve_interior(b)
-    with pytest.raises(ValueError):
-        op.solve_interior(np.ones(op.n_unknowns + 2))
+    for solve, x in ((op.solve_odd, b), (op.solve_interior, odd(b))):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(x)
+        with pytest.raises(ValueError):
+            solve(np.ones(len(x) + 2))
 
 
 def backward_error(band, x, b):
-    """max_i |b - L x|_i / (|L| |x|)_i, in np.longdouble (Oettli-Prager)."""
+    """max_i |b - B x|_i / (|B| |x|)_i, in np.longdouble (Oettli-Prager)."""
     return np.max(np.abs(residual_longdouble(band, x, b))
                   / -residual_longdouble(np.abs(band), np.abs(x), 0.0))
 
@@ -180,25 +201,27 @@ def backward_error(band, x, b):
                     reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("omega", [0.0, 0.05])
 def test_at_least_as_accurate_as_band_cholesky(table, omega):
-    # R = 800: 961 of 63999 nodes coupled; the right-hand side of plain K.
-    # Row by row, the tail-first residual is the smaller one (3.7e-16
-    # against 5.5e-16 of |L| |x| at omega = 0); in the max norm it is 15%
-    # larger at omega = 0, both at the rounding floor.  Against a solve
-    # refined with np.longdouble residuals, its solution and its K are no
-    # farther off (K: 7.3e-10 against 1.3e-9 relative at omega = 0,
-    # 2.4e-11 against 5.3e-11 at 0.05).
+    # R = 800: 481 of the fold's 32000 nodes coupled; the right-hand side
+    # of plain K.  Against the fold's band Cholesky, row by row the
+    # tail-first residual is the smaller one (3.7e-16 against 5.2e-16 of
+    # |B| |x| at omega = 0), and against a solve refined with np.longdouble
+    # residuals its solution and its K are no farther off (K: 8.3e-10
+    # against 9.6e-10 relative at omega = 0, 3.2e-11 against 1.1e-10 at
+    # 0.05).
     grid = Grid(800.0, 64001)
     op = assemble(table, omega, grid)
-    f = op.factorization()
-    assert f.core.stop - f.core.start < op.n_unknowns // 50
-    s = np.tile([1.0, -1.0], op.n_unknowns // 2)
-    b = s / np.cosh(0.5 * np.repeat(grid.interior, 2))
-    factor = pbtrf(op.band)
-    band, tail_first = pbtrs(factor, b), op.solve_interior(b)
-    assert backward_error(op.band, tail_first, b) <= backward_error(op.band, band, b)
+    h = op.n_unknowns // 2
+    f = op.odd_factorization()
+    assert f.core.stop - f.core.start < h // 25
+    s = np.tile([1.0, -1.0], (h + 1) // 2)[:h]
+    b = s / np.cosh(0.5 * np.repeat(grid.interior[:(h + 1) // 2], 2)[:h])
+    fold = fold_band(op)
+    factor = pbtrf(fold)
+    band, tail_first = pbtrs(factor, b), op.solve_odd(b)
+    assert backward_error(fold, tail_first, b) <= backward_error(fold, band, b)
     ref = band.astype(np.longdouble)
     for _ in range(3):
-        ref += pbtrs(factor, residual_longdouble(op.band, ref, b).astype(float))
+        ref += pbtrs(factor, residual_longdouble(fold, ref, b).astype(float))
     assert np.max(np.abs(tail_first - ref)) <= np.max(np.abs(band - ref))
     k_ref = np.max(s * ref)
     assert abs(np.max(s * tail_first) - k_ref) <= abs(np.max(s * band) - k_ref)
