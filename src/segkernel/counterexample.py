@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionInsufficient
-from .norms import NormContext, unweighted_sup_norm, weighted_sup
+from .norms import NormContext, weighted_sup
 from .operator1d import Grid, PairGridFunction, apply_between
 from .profile import ProfileTable, eval_profile
 
@@ -110,11 +110,15 @@ def build_counterexample(p: ProfileTable, spec: CounterexampleSpec) -> PairGridF
     side is (phi1, phi2)(x) = (-phi2(-x), -phi1(-x)), enforced exactly.
     """
     grid = spec.grid
-    n = grid.N
-    j0 = (n - 1) // 2
-    xa = grid.nodes[j0:]
-    A = p.asymptotics.A
+    return PairGridFunction(grid, *_glued_pair(p, spec, grid, grid.N - 1))
 
+
+def _glued_pair(p: ProfileTable, spec: CounterexampleSpec, grid: Grid, hi: int):
+    """The glued pair's two components at the nodes N-1-hi .. hi of grid
+    (odd N, hi at or past the middle), entry by entry as on the whole
+    grid: the nodes x >= 0 are evaluated, the others mirrored."""
+    xa = grid.nodes[(grid.N - 1) // 2:hi + 1]
+    A = p.asymptotics.A
     _, dv1, _, dv2 = eval_profile(p, xa)
     eta = smooth_cutoff(xa / math.log(spec.R))
     phi1_pos = (dv1 - A) * eta + A * sinh_ratio(spec.omega, spec.R, xa)
@@ -122,13 +126,8 @@ def build_counterexample(p: ProfileTable, spec: CounterexampleSpec) -> PairGridF
     # at x=0 the cutoff and sinh ratio are exactly 1, so phi1(0) is
     # V1'(0) analytically; imposing it keeps the antisymmetry bitwise
     phi1_pos[0] = dv1[0]
-
-    u = PairGridFunction.zeros(grid)
-    u.comp1[j0:] = phi1_pos
-    u.comp2[j0:] = phi2_pos
-    u.comp1[:j0] = -phi2_pos[:0:-1]
-    u.comp2[:j0] = -phi1_pos[:0:-1]
-    return u
+    return (np.concatenate((-phi2_pos[:0:-1], phi1_pos)),
+            np.concatenate((-phi1_pos[:0:-1], phi2_pos)))
 
 
 def raw_kernel_pair(p: ProfileTable, grid: Grid) -> PairGridFunction:
@@ -156,22 +155,24 @@ class ResidualReport:
 
 
 def _windowed_weighted_residual(p, spec, n_nodes, ctx):
+    """The weighted residual of the glued pair on the grid of n_nodes, the
+    pair's two components at the nodes lo-1 .. hi the residual reads
+    (its middle entry at x = 0) and the window."""
     grid = Grid(spec.R, n_nodes)
-    run_spec = CounterexampleSpec(
-        R=spec.R, theta=spec.theta, alpha=spec.alpha, omega=spec.omega, N=n_nodes
-    )
-    phi = build_counterexample(p, run_spec)
     # Beyond max(T, 3/4 ln R) the pair is exactly (A * sinh profile, 0)
     # with zero coupling and zero decaying potential, so the residual is
     # analytically zero there; measuring it discretely would only pick
-    # up h^2 truncation and round-off amplified by cosh(theta x).  L is
-    # assembled and applied on the window's nodes only (the endpoints,
-    # inside it when R is small, have a zero residual and are left out).
+    # up h^2 truncation and round-off amplified by cosh(theta x).  The
+    # pair is evaluated, and L assembled and applied, on the window's
+    # nodes only (the endpoints, inside it when R is small, have a zero
+    # residual and are left out).
     window = max(p.half_length, 0.75 * math.log(spec.R))
     x = grid.nodes
-    inside = np.flatnonzero(np.abs(x) <= window)
-    lo, hi = max(int(inside[0]), 1), min(int(inside[-1]) + 1, grid.N - 1)
-    rho1, rho2 = apply_between(p, spec.omega, phi, lo, hi)
+    # x ascends: x[lo:hi] are the nodes |x| <= window, less the endpoints
+    lo = max(int(np.searchsorted(x, -window, side="left")), 1)
+    hi = min(int(np.searchsorted(x, window, side="right")), grid.N - 1)
+    phi = _glued_pair(p, spec, grid, hi)
+    rho1, rho2 = apply_between(p, spec.omega, grid, lo, *phi)
     # The glued pair is Lipschitz at x=0 with derivative jump
     # sigma'(0) = -A w coth(wR): the residual bound concerns the two
     # open half-intervals, while the stencil at the center node would
@@ -179,6 +180,14 @@ def _windowed_weighted_residual(p, spec, n_nodes, ctx):
     mask = np.abs(x[lo:hi]) > 0.5 * grid.h
     weighted = weighted_sup(x[lo:hi][mask], rho1[mask], rho2[mask], ctx.theta)
     return weighted, phi, window
+
+
+def _sup(phi) -> float:
+    """The glued pair's sup norm over the whole grid from its components
+    at the nodes lo-1 .. hi: past them eta = 0, so the pair is
+    (A sinh(w(R-|x|))/sinh(wR), 0) up to sign, which falls with |x|, and
+    node hi holds its largest value there."""
+    return float(max(np.max(np.abs(phi[0])), np.max(np.abs(phi[1]))))
 
 
 def counterexample_residual(
@@ -203,8 +212,7 @@ def counterexample_residual(
         raise ResolutionInsufficient(
             f"r changed from {r:.6g} to {r_fine:.6g} under refinement"
         )
-    grid = spec.grid
-    j0 = (grid.N - 1) // 2
+    j0 = len(phi[0]) // 2
     return ResidualReport(
         theta=spec.theta,
         alpha=spec.alpha,
@@ -212,8 +220,8 @@ def counterexample_residual(
         omega=spec.omega,
         N=spec.N,
         r=r,
-        phi_at_0=(float(phi.comp1[j0]), float(phi.comp2[j0])),
-        norm_phi=unweighted_sup_norm(phi),
+        phi_at_0=(float(phi[0][j0]), float(phi[1][j0])),
+        norm_phi=_sup(phi),
         r_refined=r_fine,
         resolution_ok=bool(ok),
         window=window,
@@ -234,4 +242,4 @@ def lower_bound_from_counterexample(
     )
     weighted, phi, _ = _windowed_weighted_residual(p, spec, spec.N, NormContext(theta))
     r = weighted / omega      # as in counterexample_residual; no refinement
-    return unweighted_sup_norm(phi) / (omega * r)
+    return _sup(phi) / (omega * r)

@@ -421,22 +421,30 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
     (Higham, Accuracy and Stability, sec. 3.1); gamma_6 of its computed
     value covers that, 4 smallest subnormals the underflow.  L is mirror
     exact, so rows i and m-1-i have the same quotient: only the first
-    h = len(v) are formed, from the band's first h + 2 columns.
+    h = len(v) are formed, from the band's first h + 2 columns, in x and
+    two reused buffers.
     """
     h, band = len(v), band[:, :len(v) + 2]
     if np.any(band[1] < 0):     # D L D is not a Z-matrix
         return -math.inf
     fp = np.finfo(float)
-    x = np.maximum(np.abs(np.concatenate((v, v[:-3:-1]))), fp.tiny)
+    x = np.empty(h + 2)
+    x[:h], x[h:] = v, v[:-3:-1]
+    np.maximum(np.abs(x, out=x), fp.tiny, out=x)
     d = band[2]
-    dldx = d * x
-    dldx[1:] -= band[1, 1:] * x[:-1]
-    dldx[:-1] -= band[1, 1:] * x[1:]
-    dldx[2:] += band[0, 2:] * x[:-2]
-    dldx[:-2] += band[0, 2:] * x[2:]
+    dldx, tmp = np.multiply(d, x), np.empty(h + 2)
+    dldx[1:] -= np.multiply(band[1, 1:], x[:-1], out=tmp[1:])
+    dldx[:-1] -= np.multiply(band[1, 1:], x[1:], out=tmp[:-1])
+    dldx[2:] += np.multiply(band[0, 2:], x[:-2], out=tmp[2:])
+    dldx[:-2] += np.multiply(band[0, 2:], x[2:], out=tmp[:-2])
     gamma6 = 3.0 * fp.eps / (1.0 - 3.0 * fp.eps)
-    err = gamma6 * (2.0 * d * x - dldx) + 4.0 * fp.smallest_subnormal
-    low = float(np.min(((dldx - err) / x)[:h]))
+    err = np.multiply(2.0, d, out=tmp)      # gamma6 (2 d x - dldx) + 4 subnormals
+    err *= x
+    err -= dldx
+    err *= gamma6
+    err += 4.0 * fp.smallest_subnormal
+    np.divide(np.subtract(dldx, err, out=err), x, out=err)     # the quotients
+    low = float(np.min(err[:h]))
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 

@@ -55,12 +55,15 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.R / (self.N - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
+        """The N nodes, computed once per Grid and read-only."""
         j = np.arange(self.N)
-        return (2.0 * j - (self.N - 1)) / (self.N - 1) * self.R
+        x = (2.0 * j - (self.N - 1)) / (self.N - 1) * self.R
+        x.setflags(write=False)
+        return x
 
-    @property
+    @cached_property
     def interior(self) -> np.ndarray:
         return self.nodes[1:-1]
 
@@ -158,7 +161,7 @@ class DiscreteOperator:
         """
         if self._factor is None:
             factor = _factored(pbtrf, self.band)
-            self.smallest_pivot = _smallest_pivot(factor[2] ** 2, self.band)
+            self.smallest_pivot = _smallest_pivot(np.min(factor[2] ** 2), np.max(self.band[2]))
             self._factor = factor
         return self._factor
 
@@ -187,9 +190,9 @@ class DiscreteOperator:
             coupled = np.flatnonzero(self.coup[:(h + 1) // 2])
             # the core starts at the first coupled node and holds h-2 and h-1
             a = 2 * min(int(coupled[0]) if coupled.size else h, h // 2 - 1)
-            fold = band[:, :h].copy()
-            fold[1:, -1] -= band[:2, h]
-            self._odd, self.smallest_pivot = _tail_first(fold, a)
+            core = band[:, a:h].copy()
+            core[1:, -1] -= band[:2, h]     # the fold
+            self._odd, self.smallest_pivot = _tail_first(band, a, core)
         return self._odd
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
@@ -235,37 +238,46 @@ class TailFirst(NamedTuple):
     core_factor: np.ndarray  # pbtrf of the core's Schur complement
 
 
-def _tail_first(band, a):
-    """band factored tail first, its core the unknowns from a (even) to
-    the end, and the smallest pivot.  Before the core the band is two
-    uncoupled chains, u1 and u2: one tridiagonal with a zero join, one
-    L D L^T.  The exact Schur complement of the tails takes link^2 / d_end
-    off the core diagonal next to each chain's end (link = -1/h^2, d_end
-    the chain's last pivot); the core is then Cholesky-factored.  A
-    chain's response q to the unit vector u at its end needs no solve:
-    L^T q = u / d_end, as the unit lower factor leaves u as it is, so q is
-    1/d_end times the running product of -e taken back from the end."""
-    link, n = band[0, -1], a // 2
+def _tail_first(band, a, core):
+    """The fold factored tail first, and its smallest pivot: its tails the
+    fold's first a (even) unknowns, read off band, and its core the
+    unknowns from a to the end, a copy, its last column already folded
+    (factored in place).  Before the
+    core the band is two uncoupled chains, u1 and u2: one tridiagonal with
+    a zero join, one L D L^T.  The exact Schur complement of the tails
+    takes link^2 / d_end off the core diagonal next to each chain's end
+    (link = -1/h^2, d_end the chain's last pivot); the core is then
+    Cholesky-factored.  A chain's response q to the unit vector u at its
+    end needs no solve: L^T q = u / d_end, as the unit lower factor leaves
+    u as it is, so q is 1/d_end times the running product of -e taken
+    back from the end."""
+    link, n = core[0, -1], a // 2
     chains = (slice(0, a, 2), slice(1, a, 2)) if n else ()
     joins = np.arange(len(chains))      # the core's first u1 and u2
     ends = n * joins + n - 1
     e = np.full(a, link)
     e[ends] = 0.0       # the join between the chains
     d, e = _factored(pttrf, _gather(band[2], chains), e[:-1])
-    core = band[:, a:].copy()
+    largest = max(np.max(band[2, :a], initial=-np.inf), np.max(core[2]))
     np.subtract.at(core[2], joins, link ** 2 / d[ends])
     core_factor = _factored(pbtrf, core)
-    smallest = _smallest_pivot(np.concatenate((d, core_factor[2] ** 2)), band)
-    q = [np.cumprod(np.append(1.0 / d[k], -e[k + 1 - n:k][::-1]))[::-1, None] for k in ends]
+    smallest = _smallest_pivot(min(np.min(d, initial=np.inf), np.min(core_factor[2] ** 2)),
+                               largest)
+    q = []
+    for k in ends:
+        qk = np.empty(n)
+        qk[0] = 1.0 / d[k]
+        np.negative(e[k + 1 - n:k][::-1], out=qk[1:])
+        q.append(np.cumprod(qk, out=qk)[::-1, None])
     return TailFirst(chains, d, e, q, ends, joins, link,
-                     slice(a, band.shape[1]), core_factor), smallest
+                     slice(a, a + core.shape[1]), core_factor), smallest
 
 
 def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
     """Solve with the tail-first factorization f of m unknowns; rhs may
     be a matrix.  One tail solve t; the core solve, with link * t_end
-    taken off next to each chain's end; and the tails back-corrected by
-    x_chain = t_chain - q_chain * link * x_join."""
+    taken off next to each chain's end; and the tails back-corrected in
+    place by t_chain -= q_chain * link * x_join."""
     b = np.asarray(rhs, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
@@ -276,7 +288,8 @@ def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
     x = np.empty(cols.shape)
     x[f.core] = core = pbtrs(f.core_factor, core)
     for s, part, q, j in zip(f.chains, np.split(t, f.ends[:-1] + 1), f.q, f.joins):
-        x[s] = part - q * (f.link * core[j])
+        part -= q * (f.link * core[j])
+        x[s] = part
     return x.reshape(b.shape)
 
 
@@ -294,11 +307,11 @@ def _factored(routine, *args):
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
 
-def _smallest_pivot(pivots: np.ndarray, band: np.ndarray) -> float:
+def _smallest_pivot(smallest, largest) -> float:
     """The smallest pivot; SingularSystem when it falls below PIVOT_TOL
-    times the largest diagonal entry of band."""
-    smallest = float(np.min(pivots))
-    if smallest < PIVOT_TOL * float(np.max(band[2])):
+    times the largest diagonal entry of the matrix factored."""
+    smallest = float(smallest)
+    if smallest < PIVOT_TOL * float(largest):
         raise SingularSystem(f"near-zero pivot {smallest:.3e}")
     return smallest
 
@@ -342,15 +355,16 @@ def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
                             np.concatenate((coup, coup[mirror])))
 
 
-def apply_between(p: ProfileTable, omega: float, u: PairGridFunction, lo: int, hi: int):
-    """(L u) at the nodes lo..hi-1 of u's grid, 1 <= lo < hi <= N - 1, as
-    two arrays, with L assembled at those nodes only: entry by entry
-    what assemble(p, omega, u.grid).apply(u) gives there."""
-    if not (1 <= lo < hi <= u.grid.N - 1):
-        raise ValueError("need 1 <= lo < hi <= N - 1")
-    pots = _potentials(p, u.grid.nodes[lo:hi])
-    return _stencil(u.grid.h ** 2, omega * omega, pots,
-                    u.comp1[lo - 1:hi + 1], u.comp2[lo - 1:hi + 1])
+def apply_between(p: ProfileTable, omega: float, grid: Grid, lo: int, u1, u2):
+    """(L u) at the nodes lo..hi-1 of grid, 1 <= lo < hi <= N - 1, as two
+    arrays, from u's components u1 and u2 at the nodes lo-1..hi, with L
+    assembled at those nodes only: entry by entry what
+    assemble(p, omega, grid).apply(u) gives there."""
+    hi = lo + len(u1) - 2
+    if not (1 <= lo < hi <= grid.N - 1 and len(u2) == len(u1)):
+        raise ValueError("need 1 <= lo < hi <= N - 1 and u1, u2 at the nodes lo-1..hi")
+    pots = _potentials(p, grid.nodes[lo:hi])
+    return _stencil(grid.h ** 2, omega * omega, pots, u1, u2)
 
 
 def mms_pair(grid: Grid):

@@ -213,8 +213,12 @@ class TestResidual:
             table, spec, grid.N, NormContext(0.5))
         assert got == full and got_window == window
         for lo, hi in ((1, grid.N - 1), (1, 7), (grid.N // 3, grid.N // 2)):
-            r1, r2 = apply_between(table, spec.omega, phi, lo, hi)
+            r1, r2 = apply_between(table, spec.omega, grid, lo,
+                                   phi.comp1[lo - 1:hi + 1], phi.comp2[lo - 1:hi + 1])
             assert np.array_equal(r1, rho.comp1[lo:hi])
             assert np.array_equal(r2, rho.comp2[lo:hi])
-        with pytest.raises(ValueError):
-            apply_between(table, spec.omega, phi, 0, 7)
+        for lo, u1, u2 in ((0, phi.comp1[:8], phi.comp2[:8]),
+                           (1, phi.comp1, phi.comp2[:8]),
+                           (2, phi.comp1, phi.comp2)):
+            with pytest.raises(ValueError):
+                apply_between(table, spec.omega, grid, lo, u1, u2)

@@ -92,12 +92,16 @@ def test_inputs_are_not_overwritten():
     lapack.gbsv(0, 2, fab, b)
     assert np.array_equal(ab, ab0) and np.array_equal(fab, ab0) and np.array_equal(b, b0)
     _, d, e = spd_tridiagonal(rng)
+    strided = np.repeat(d, 2)[::2], np.repeat(e, 2)[::2]
     d0, e0 = d.copy(), e.copy()
-    factor = lapack.pttrf(d, e)
+    factor = lapack.pttrf(d, e)     # float64 in Fortran order: factored in place
+    assert factor[0] is d and factor[1] is e
     factor0 = [f.copy() for f in factor]
     lapack.pttrs(*factor, b.copy())
-    assert np.array_equal(d, d0) and np.array_equal(e, e0)
     assert all(np.array_equal(f, f0) for f, f0 in zip(factor, factor0))
+    copied = lapack.pttrf(*strided)     # not contiguous: copied, not overwritten
+    assert np.array_equal(strided[0], d0) and np.array_equal(strided[1], e0)
+    assert all(np.array_equal(f, f0) for f, f0 in zip(copied, factor0))
 
 
 @pytest.mark.parametrize("rhs_shape", [(15,), (15, 3)])
