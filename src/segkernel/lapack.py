@@ -67,9 +67,10 @@ def _keep_heap_resident():
     the size of the largest one freed) on its own and unmaps it when it is
     freed, and hands the heap's free top back to the kernel: a sweep entry
     at R = 800 (m = 128k unknowns) works in arrays of 0.5 to 1.5 MB, so
-    each pass faulted about 3,000 pages in again, 6 to 8 ms of system time
-    in 35 ms.  Freed memory now stays in the process until it exits, so
-    its resident size holds its peak.  Warns when glibc refuses a value;
+    each warmed-up pass of three sweep entries up to R = 800 faulted about
+    2,900 pages in again, 7 to 8 ms of system time in 40 ms.  Freed
+    memory now stays in the process until it exits, so its resident size
+    holds its peak.  Warns when glibc refuses a value;
     does nothing where the C library is not glibc."""
     if os.name != "posix":
         return
