@@ -64,7 +64,10 @@ def construction_fault(R: float, theta: float, omega: float) -> str:
 
 
 def default_node_count(R: float) -> int:
-    """Fixed nodes-per-unit-length rule; forced odd."""
+    """Fixed nodes-per-unit-length rule; forced odd.  ValueError when
+    80 R + 1 is not finite."""
+    if not math.isfinite(80.0 * R + 1.0):
+        raise ValueError(f"R = {R!r} gives no finite default node count 80 R + 1")
     n = max(2001, int(round(80.0 * R)) + 1)
     return n if n % 2 == 1 else n + 1
 

@@ -10,16 +10,20 @@ and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve, of the operator's half-size
 fold on reflection-odd vectors, such as s * w.  Under orthogonality
-constraints, imposed by norms.Projector on the interleaved unknowns, K
-is summed over the upper triangle of L^-1 composed with the projector,
-from the operator's natural-order Cholesky factor, which also solves
-the carriers, in tiles of rows and three steps: the diagonal and first
-off-diagonal of L^-1 (Takahashi selected inversion in scalar rows,
-banded back substitution in segments); the triangle inside every tile,
-by one recurrence vectorised across the tiles; and a sweep up groups of
-tiles that sums the columns past each group in chunks whose sign is
-certified by interval bounds.  The reflection symmetry supplies the
-lower triangle.  The estimate method returns plain K itself; under
+constraints, imposed by norms.Projector on the interleaved unknowns, the
+row sums of L^-1 composed with the projector are summed on the kept
+band, L with its dying-component tail chains eliminated exactly (the
+kernel elements vanish there), from its Cholesky factor, which also
+solves the carriers: over the upper triangle, in tiles of rows and three
+steps: the diagonal and first off-diagonal of the inverse (Takahashi
+selected inversion in scalar rows, banded back substitution in
+segments); the triangle inside every tile, by one recurrence vectorised
+across the tiles; and a sweep up groups of tiles that sums the columns
+past each group in chunks whose sign is certified by interval bounds.
+The reflection symmetry supplies the lower triangle.  The dying chains'
+columns add one solve with the carriers', by the sign structure, and
+each of their rows is a multiple of its chain's join row on the kept
+band.  The estimate method returns plain K itself; under
 constraints a Hager-style one-norm power scheme provides a lower
 estimate (up to round-off).  The smallest eigenvalue is
 lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
@@ -190,16 +194,81 @@ def inv_constant_exact(
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
     row sums are s * solve(s * w); s * w is J-odd, so that is one
     op.solve_odd, the max over the first half of the rows (the fold
-    refuses negative coupling, where the identity fails).
+    refuses negative coupling, where the identity fails).  Constrained K
+    is the largest of _constrained_row_sums; the size guard applies to
+    it only.
+    """
+    if not orth_elements:
+        s, w = _odd_half(op, lambda x: cosh_weights(x, ctx.theta))
+        return float(np.max(s * op.solve_odd(s * w)))
+    return float(np.max(_constrained_row_sums(op, ctx, orth_elements)))
 
-    Constrained K sums |M| row by row, M = (T - y g^T) diag(w) with
-    T = L^-1, y = L^-1 carriers and g^T = gram_inv @ zrows; no unit
-    column is solved and T is never formed.  With L = U^T U, U =
-    op.factorization(), whose solve_interior gives y (M cancels T
-    against y g^T, so both come from that one factor), (U T)_ij = 0
-    for j > i: past its diagonal, each row of T is a combination of the
-    two rows below it.  Rows go in tiles of TILE_ROWS from the bottom up,
-    the two rows a below a tile its anchor, and the work is split in three:
+
+def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements) -> np.ndarray:
+    """Every weighted absolute row sum of M = L^-1 P diag(w), P the
+    orthogonality projector: M = (T - y g^T) diag(w) with T = L^-1,
+    y = L^-1 carriers and g^T = gram_inv @ zrows.
+
+    op.factorization() eliminates L's dying chains D first and factors
+    the kept band, the Schur complement S = L / L_DD on the other
+    unknowns K, whose inverse is T_KK (Meurant 1992).  Every element must
+    vanish on D (else ValueError), so g and the carriers are 0 there and
+    y_K = S^-1 carriers_K: M_KK is the same product for S, whose row sums
+    r' _row_sums forms from S's factor (the carriers are solved with it
+    too, so T and y cancel within one factor).  The rest is exact:
+
+    - dying columns: M_ij = T_ij w_j, and s_i s_j T_ij > 0, as
+      diag(s) L diag(s) is a Stieltjes matrix for coupling >= 0 (else
+      SegkernelError), so their share of row i is
+      e_i = s_i (L^-1 (s w on D))_i, solved with the carriers;
+    - dying rows: a chain meets K only through its end's link to its
+      join J, so on its row i, M_iK = -link q_i M_JK, q the chain's
+      response to its end's unit vector, and the row's kept part is
+      |link q_i| r'_J.
+
+    With no dying chain the sums are _row_sums' on L's own factor.
+    """
+    m = op.n_unknowns
+    weights = _interior_weights(op, ctx)
+    if m > EXACT_SIZE_GUARD:
+        raise BudgetExceeded(
+            f"{m} unknowns exceed the exact-method guard {EXACT_SIZE_GUARD}"
+        )
+    proj = Projector(orth_elements, op.grid, ctx)
+    k = len(proj.zrows)
+    f = op.factorization()
+    dying = np.zeros(m, dtype=bool)
+    for chain in f.chains:
+        dying[chain] = True
+    if np.any(proj.zrows[:, dying]) or np.any(proj.carriers[dying]):
+        raise ValueError("an orthogonality element does not vanish on a dying chain")
+    if f.chains and np.any(op.coup < 0):
+        raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+    rhs = proj.carriers
+    if f.chains:
+        s = np.tile([1.0, -1.0], m // 2)
+        rhs = np.column_stack((rhs, np.where(dying, s * weights, 0.0)))
+    y = op.solve_interior(rhs)
+    kept = f.core
+    rows = _row_sums(f.core_factor, y[kept, :k], (proj.gram_inv @ proj.zrows)[:, kept],
+                     weights[kept])
+    if not f.chains:
+        return rows
+    e = s * y[:, k]
+    e[kept] += rows
+    for chain, q, join in zip(f.chains, f.q, f.joins):
+        e[chain] += np.abs(f.link * q[:, 0]) * rows[join]
+    return e
+
+
+def _row_sums(factor, y, g, weights) -> np.ndarray:
+    """Per row, the weighted absolute row sum of M = (T - y g^T) diag(w),
+    T the inverse of a mirror-symmetric band A = U^T U, U = factor, and y
+    = A^-1 carriers; no unit column is solved and T is never formed.
+    (U T)_ij = 0 for j > i: past its diagonal, each row of T is a
+    combination of the two rows below it.  Rows go in tiles of TILE_ROWS
+    from the bottom up, the two rows a below a tile its anchor, and the
+    work is split in three:
 
     1. _near_triangles: the diagonal and first off-diagonal of T, from
        the same relation at j = i and j = i + 1 (Takahashi, Fagan & Chin
@@ -216,38 +285,26 @@ def inv_constant_exact(
        re-based tile by tile; and carries its coef onto the generators
        of the group, gen = [M[a, j]; g_j] with a the group's anchor, by
        acc = [step @ acc; I].  Past the group the columns go in chunks
-       of about sqrt(m), one component (parity of j) at a time.  The
-       range of each generator over a chunk, as midpoint and radius,
-       bounds M[r, j], and where that bound keeps one sign the chunk adds
+       of about sqrt(m), one parity of j at a time.  The range of each
+       generator over a chunk, as midpoint and radius, bounds M[r, j],
+       and where that bound keeps one sign the chunk adds
        |coef_r . sum_j gen_j w_j|; only the (row, chunk) pairs whose
-       bound holds 0 are summed entry by entry, once per group.  As
+       bound holds 0 are summed entry by entry, once per group.  The
+       sign s_j is constant along one parity of j on each stretch of the
+       band (on the kept band: the core and each living chain), and as
        diag(s) L diag(s) is a Stieltjes matrix, a row of M changes sign
-       only a few times per component, so that is a few chunks per row.
-       Once per group, the anchor past it (an O(m) product) and the
-       chunk ranges and sums are then carried to the group above, the
-       ranges made exact again where they straddled.
+       only a few times there, so that is a few chunks per row.  Once
+       per group, the anchor past it (an O(m) product) and the chunk
+       ranges and sums are then carried to the group above, the ranges
+       made exact again where they straddled.
 
-    Only the sums over j >= i are formed: operator, weights and
-    projector commute with the reflection, so M[m-1-i, m-1-j] = M[i, j]
-    and the sums over j <= i are those of the mirror row.  The size
-    guard applies to this path only.
+    Only the sums over j >= i are formed: band, weights and projector
+    commute with the reflection, so M[m-1-i, m-1-j] = M[i, j] and the
+    sums over j <= i are those of the mirror row.
     """
-    m = op.n_unknowns
-    if not orth_elements:
-        s, w = _odd_half(op, lambda x: cosh_weights(x, ctx.theta))
-        return float(np.max(s * op.solve_odd(s * w)))
-
-    weights = _interior_weights(op, ctx)
-    if m > EXACT_SIZE_GUARD:
-        raise BudgetExceeded(
-            f"{m} unknowns exceed the exact-method guard {EXACT_SIZE_GUARD}"
-        )
-    proj = Projector(orth_elements, op.grid, ctx)
-    k = len(proj.zrows)
+    m, k = len(weights), len(g)
     c = min(TILE_ROWS, m)
-    factor = op.factorization()
-    yp = np.vstack((op.solve_interior(proj.carriers), np.zeros((2, k))))
-    g = proj.gram_inv @ proj.zrows
+    yp = np.vstack((y, np.zeros((2, k))))
     upper, diag, prop, anchor = _near_triangles(factor, yp, g, weights, c)
     width = CHUNK_COLUMNS * max(1, math.isqrt(m // (64 * CHUNK_COLUMNS)))   # ~ sqrt(m)
     n_chunks = -(-m // width)
@@ -342,7 +399,7 @@ def inv_constant_exact(
         if exact.size:
             chunk_stats(np.arange(2), exact)
     # M[m-1-i, m-1-j] = M[i, j]: the lower row sums are the upper ones reversed
-    return float(np.max(upper + upper[::-1] - diag))
+    return upper + upper[::-1] - diag
 
 
 def inv_constant_estimate(
@@ -358,10 +415,10 @@ def inv_constant_estimate(
 
     Each iterate evaluates ||M^T x||_1 at a unit one-norm x, so the
     estimate is a lower bound up to round-off.  Under one constraint
-    (theta = 0.5, omega = 0, R = 800) it has been seen 6.2e-11 relative
-    above an extended-precision evaluation of the norm and 4.5e-10 above
-    the exact K inv_constant_exact returns (at N = 160 R + 1: 4.7e-10
-    and 1.9e-9).
+    (theta = 0.5, omega = 0, R = 800) it is 4.4e-10 relative above an
+    np.longdouble evaluation of the row where exact K peaks and 8.2e-10
+    above the exact K inv_constant_exact returns (at N = 160 R + 1:
+    1.7e-9 and 3.1e-9).
     """
     if not orth_elements:
         return inv_constant_exact(op, ctx)

@@ -1,11 +1,11 @@
 """The five LAPACK routines segkernel calls, bound with ctypes.
 
 `pttrf` and `pttrs` factor and solve the uncoupled tails of the
-operator's reflection-odd fold (a symmetric tridiagonal), `pbtrf` and
-`pbtrs` the fold's coupled core and the operator's whole band, and
-`gbsv` gives the profile's Newton step and, with no subdiagonal, the
-one back substitution of constrained K, which gives the diagonal and
-first off-diagonal of the inverse.  The
+operator and of its reflection-odd fold (symmetric tridiagonals),
+`pbtrf` and `pbtrs` the operator's kept band and the fold's coupled
+core, and `gbsv` gives the profile's Newton step and, with no
+subdiagonal, the one back substitution of constrained K, which gives
+the diagonal and first off-diagonal of the kept band's inverse.  The
 symbols come from the LAPACK that numpy has already loaded: opening
 numpy's linalg extension with ctypes resolves them through that
 module's own dependency, so no second LAPACK is imported.  On the numpy

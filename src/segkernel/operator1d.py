@@ -9,14 +9,17 @@ is discretized on a uniform grid over (-R, R) with homogeneous
 Dirichlet endpoints, second-order central differences, and the two
 unknowns interleaved per node, giving a symmetric banded matrix with
 half-bandwidth 2 over the 2(N-2) interior unknowns.  The band is built
-on first use, and each matrix is factored once per operator: L by a
-banded Cholesky factorization in natural order, reused for every
-general solve and read by constrained K.  The potentials are mirror
-exact, so on reflection-odd vectors L is a half-size band, the fold.
-The coupling 2 V1 V2 vanishes where the profile's tail extension sets
-one component to zero, so the fold's factorization eliminates those
-uncoupled tails first, as one tridiagonal, and then Cholesky-factors
-the small coupled core.
+on first use, and each matrix is factored once per operator.  The
+coupling 2 V1 V2 vanishes where the profile's tail extension sets one
+component to zero, so both factorizations eliminate uncoupled tails
+first, as one tridiagonal, and then Cholesky-factor what is left.  L's
+tails are its two dying-component chains, u1 on the left and u2 on the
+right, whose partner potential is 0 there: what is left, the kept band,
+is the coupled core and the two living chains in natural order, about
+half of L, and every general solve and constrained K use it.  The
+potentials are mirror exact, so on reflection-odd vectors L is a
+half-size band, the fold, whose tails are both chains at its left end
+and whose core is the small coupled one.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with two cached factorizations: L's
-    banded Cholesky factor and the tail-first factorization of its fold on
-    J-odd vectors; smallest_pivot is the smallest pivot of the one
-    computed last, set once it is computed.
+    """Assembled banded operator with two cached tail-first
+    factorizations, of L and of its fold on J-odd vectors;
+    smallest_pivot is the smallest pivot of the one computed last, set
+    once it is computed.
 
     It keeps the omega-free potentials; omega^2 enters only the diagonal,
     so L(omega) = L(0) + omega^2 I exactly.
@@ -133,37 +136,85 @@ class DiscreteOperator:
     @cached_property
     def band(self) -> np.ndarray:
         """Upper band storage of L, built on first use."""
-        return self._band_head(self.n_unknowns)
+        return self._band_columns(0, self.n_unknowns)
 
     @cached_property
     def odd_band(self) -> np.ndarray:
         """The band's first m/2 + 2 columns, all that the J-odd path reads."""
-        return self._band_head(self.n_unknowns // 2 + 2)
+        return self._band_columns(0, self.n_unknowns // 2 + 2)
 
-    def _band_head(self, k: int) -> np.ndarray:
-        h2, n1, n2 = self.grid.h ** 2, (k + 1) // 2, k // 2
-        band = np.zeros((3, k))
-        band[2, 0::2] = 2.0 / h2 + (self.pot1_0[:n1] + self.w2)
-        band[2, 1::2] = 2.0 / h2 + (self.pot2_0[:n2] + self.w2)
-        band[1, 1::2] = self.coup[:n2]     # same-node coupling
-        band[0, 2:] = -1.0 / h2            # same-component neighbors
+    def _band_columns(self, lo: int, hi: int) -> np.ndarray:
+        """Columns lo..hi-1 of the band, lo even."""
+        j = lo // 2
+        n1, n2 = j + (hi - lo + 1) // 2, j + (hi - lo) // 2
+        band = np.zeros((3, hi - lo))
+        band[2, 0::2] = self._diagonal(self.pot1_0[j:n1])
+        band[2, 1::2] = self._diagonal(self.pot2_0[j:n2])
+        band[1, 1::2] = self.coup[j:n2]                       # same-node coupling
+        band[0, max(2 - lo, 0):] = -1.0 / self.grid.h ** 2    # same-component neighbors
         return band
 
-    def factorization(self) -> np.ndarray:
-        """The banded Cholesky factor U of L (L = U^T U) in natural order,
-        computed once: every general solve uses it, and constrained K reads
-        U itself.
+    def dying_nodes(self) -> tuple[int, int]:
+        """The lengths of L's dying chains: u1 over the leading and u2 over
+        the trailing nodes where the coupling and the partner's potential
+        (V1^2, resp. V2^2) are 0, cut so that one node is left between."""
+        n = self.grid.N - 2
+        left = min(_run((self.pot2_0 == 0.0) & (self.coup == 0.0)), (n - 1) // 2)
+        right = _run((self.pot1_0[::-1] == 0.0) & (self.coup[::-1] == 0.0))
+        return left, min(right, n - 1 - left)
+
+    def factorization(self) -> TailFirst:
+        """The factorization of L, computed once, that every general solve
+        and constrained K use.  Its tails are the dying chains
+        (dying_nodes), u1 from the left end and u2 from the right end in;
+        its core is the kept band, every other unknown in natural order:
+        the living u2 chain on the left, the coupled unknowns and the
+        living u1 chain on the right, a band of half-bandwidth 2 again,
+        mirror symmetric when L is.  A dying chain meets the kept band only
+        at its end, next to the core's first u1 (left) or last u2 (right).
+        With no dying chain the kept band is L's band, and factor and
+        solves are its banded Cholesky factor's.
 
         Raises SingularSystem when the matrix is not numerically
-        positive definite or a pivot U_ii^2 falls below
-        PIVOT_TOL * max(diagonal); the smallest pivot is kept for
-        diagnostics (relevant for the flagged omega = 0 regime).
+        positive definite or a pivot falls below PIVOT_TOL *
+        max(diagonal); the smallest pivot is kept for diagnostics
+        (relevant for the flagged omega = 0 regime).
         """
         if self._factor is None:
-            factor = _factored(pbtrf, self.band)
-            self.smallest_pivot = _smallest_pivot(np.min(factor[2] ** 2), np.max(self.band[2]))
-            self._factor = factor
+            m, n, (left, right) = self.n_unknowns, self.grid.N - 2, self.dying_nodes()
+            lo, hi = 2 * left, m - 2 * right
+            link = -1.0 / self.grid.h ** 2
+            core = self._band_columns(lo, hi)
+            core[0, 0] = 0.0                # its link to the left dying chain
+            kept = slice(0, m)
+            if left or right:
+                living = self._chain(self.pot2_0[:left]), self._chain(self.pot1_0[n - right:])
+                living[1][0, :1] = link     # to the core's last u1
+                core = np.hstack((living[0], core, living[1]))
+                kept = np.concatenate((np.arange(1, lo, 2), np.arange(lo, hi),
+                                       np.arange(hi, m, 2)))
+            chains, tails, joins = [], [], []
+            for s, pot, join in ((slice(0, lo, 2), self.pot1_0[:left], left),
+                                 (slice(m - 1, hi, -2), self.pot2_0[n - right:][::-1],
+                                  left + hi - lo - 1)):
+                if len(pot):
+                    chains.append(s)
+                    tails.append(self._diagonal(pot))
+                    joins.append(join)
+            self._factor, self.smallest_pivot = _tail_first(chains, tails, kept, core,
+                                                            joins, link)
         return self._factor
+
+    def _diagonal(self, pot) -> np.ndarray:
+        """The diagonal entries of L over a component's potential pot."""
+        return 2.0 / self.grid.h ** 2 + (pot + self.w2)
+
+    def _chain(self, pot) -> np.ndarray:
+        """The upper band of an uncoupled chain over the potential pot."""
+        band = np.zeros((3, len(pot)))
+        band[2] = self._diagonal(pot)
+        band[1, 1:] = -1.0 / self.grid.h ** 2
+        return band
 
     def odd_factorization(self) -> TailFirst:
         """The factorization, computed once, of L on J-odd vectors [a; -a
@@ -192,12 +243,15 @@ class DiscreteOperator:
             a = 2 * min(int(coupled[0]) if coupled.size else h, h // 2 - 1)
             core = band[:, a:h].copy()
             core[1:, -1] -= band[:2, h]     # the fold
-            self._odd, self.smallest_pivot = _tail_first(band, a, core)
+            chains = (slice(0, a, 2), slice(1, a, 2)) if a else ()
+            self._odd, self.smallest_pivot = _tail_first(
+                chains, [band[2, s] for s in chains], slice(a, h), core,
+                list(range(len(chains))), -1.0 / self.grid.h ** 2)
         return self._odd
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for interleaved interior unknowns; rhs may be a matrix."""
-        return pbtrs(self.factorization(), rhs)
+        return _solve(self.factorization(), rhs, self.n_unknowns)
 
     def solve_odd(self, rhs: np.ndarray) -> np.ndarray:
         """solve_interior([rhs; -rhs reversed])[:m/2], one solve with B."""
@@ -225,65 +279,65 @@ class DiscreteOperator:
 
 class TailFirst(NamedTuple):
     """A band factored tail first.  Tail positions run chain by chain,
-    core positions from the core's first unknown."""
+    core positions in the core's order."""
 
-    chains: tuple           # each chain's unknowns, a slice
+    chains: tuple           # each chain's unknowns, a slice ending next to the core
     d: np.ndarray           # pttrf of the tails
     e: np.ndarray
     q: list                 # per chain, tails^-1 (chain end's unit vector), a column
     ends: np.ndarray        # each chain's last tail position
     joins: np.ndarray       # the core position next to it
     link: float             # the entry of L linking the two, -1/h^2
-    core: slice             # the core's unknowns
+    core: slice | np.ndarray    # the core's unknowns, in order
     core_factor: np.ndarray  # pbtrf of the core's Schur complement
 
 
-def _tail_first(band, a, core):
-    """The fold factored tail first, and its smallest pivot: its tails the
-    fold's first a (even) unknowns, read off band, and its core the
-    unknowns from a to the end, a copy, its last column already folded
-    (factored in place).  Before the
-    core the band is two uncoupled chains, u1 and u2: one tridiagonal with
-    a zero join, one L D L^T.  The exact Schur complement of the tails
-    takes link^2 / d_end off the core diagonal next to each chain's end
-    (link = -1/h^2, d_end the chain's last pivot); the core is then
-    Cholesky-factored.  A chain's response q to the unit vector u at its
-    end needs no solve: L^T q = u / d_end, as the unit lower factor leaves
-    u as it is, so q is 1/d_end times the running product of -e taken
-    back from the end."""
-    link, n = core[0, -1], a // 2
-    chains = (slice(0, a, 2), slice(1, a, 2)) if n else ()
-    joins = np.arange(len(chains))      # the core's first u1 and u2
-    ends = n * joins + n - 1
-    e = np.full(a, link)
-    e[ends] = 0.0       # the join between the chains
-    d, e = _factored(pttrf, _gather(band[2], chains), e[:-1])
-    largest = max(np.max(band[2, :a], initial=-np.inf), np.max(core[2]))
-    np.subtract.at(core[2], joins, link ** 2 / d[ends])
-    core_factor = _factored(pbtrf, core)
+def _tail_first(chains, tails, core, band, joins, link):
+    """A band factored tail first, and its smallest pivot.  Its tails are
+    the chains, uncoupled runs of unknowns with diagonals tails, linked
+    by link to their neighbours and, at the end, to the core position
+    joins; band is the core's band, a copy (factored in place).  The
+    chains are stacked into one tridiagonal with a zero join, one L D L^T.
+    The exact Schur complement of the tails takes link^2 / d_end off the
+    core diagonal at each join (d_end the chain's last pivot); the core is
+    then Cholesky-factored.  A chain's response q to the unit vector u at
+    its end needs no solve: L^T q = u / d_end, as the unit lower factor
+    leaves u as it is, so q is 1/d_end times the running product of -e
+    taken back from the end."""
+    sizes = [len(t) for t in tails]
+    ends = np.cumsum(sizes, dtype=int) - 1
+    joins = np.asarray(joins, dtype=int)
+    e = np.full(sum(sizes), link)
+    e[ends] = 0.0       # the joins between the chains
+    d = np.concatenate([np.zeros(0)] + list(tails))
+    largest = max(np.max(d, initial=-np.inf), np.max(band[2]))
+    d, e = _factored(pttrf, d, e[:-1])
+    np.subtract.at(band[2], joins, link ** 2 / d[ends])
+    core_factor = _factored(pbtrf, band)
     smallest = _smallest_pivot(min(np.min(d, initial=np.inf), np.min(core_factor[2] ** 2)),
                                largest)
     q = []
-    for k in ends:
+    for k, n in zip(ends, sizes):
         qk = np.empty(n)
         qk[0] = 1.0 / d[k]
         np.negative(e[k + 1 - n:k][::-1], out=qk[1:])
         q.append(np.cumprod(qk, out=qk)[::-1, None])
-    return TailFirst(chains, d, e, q, ends, joins, link,
-                     slice(a, a + core.shape[1]), core_factor), smallest
+    return TailFirst(tuple(chains), d, e, q, ends, joins, link, core, core_factor), smallest
 
 
 def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
     """Solve with the tail-first factorization f of m unknowns; rhs may
     be a matrix.  One tail solve t; the core solve, with link * t_end
-    taken off next to each chain's end; and the tails back-corrected in
-    place by t_chain -= q_chain * link * x_join."""
+    taken off at each join; and the tails back-corrected in place by
+    t_chain -= q_chain * link * x_join."""
     b = np.asarray(rhs, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
     cols = b.reshape(len(b), -1)
     t = pttrs(f.d, f.e, _gather(cols, f.chains))
-    core = cols[f.core].copy()
+    core = cols[f.core]
+    if isinstance(f.core, slice):       # a view
+        core = core.copy()
     np.subtract.at(core, f.joins, f.link * t[f.ends])
     x = np.empty(cols.shape)
     x[f.core] = core = pbtrs(f.core_factor, core)
@@ -291,6 +345,11 @@ def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
         part -= q * (f.link * core[j])
         x[s] = part
     return x.reshape(b.shape)
+
+
+def _run(mask: np.ndarray) -> int:
+    """The length of mask's leading run of True."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
 def _gather(v: np.ndarray, chains) -> np.ndarray:

@@ -430,6 +430,19 @@ class TestConfigAndErrors:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: ") and "allocate" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--omega", "0.1", "--R", "1e308"],
+        ["eig", "--omega", "0", "--R", "1e308"],
+        ["counterexample", "--R", "1e308"],
+        ["sweep", "--omega", "1e-308", "--omegaR", "10"],
+    ], ids=["sweep-R", "eig", "counterexample", "sweep-omegaR"])
+    def test_default_node_count_overflow(self, cache_dir, capsys, argv):
+        # 80 R + 1 is not finite (at omega = 1e-308, R = omegaR / omega is inf)
+        code = main([argv[0], *common_args(cache_dir), *argv[1:], "--out", "-"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err and "node count" in err
+
     def test_trailing_config_flag(self, capsys):
         assert main(["sweep", "--config"]) == 1
         err = capsys.readouterr().err

@@ -1,9 +1,10 @@
-"""Each matrix is factored once: L by one banded Cholesky factorization in
-natural order, its fold B on reflection-odd vectors by one tail-first
-elimination.  B alone decides whether L is positive definite, by the
-Perron argument: with coupling >= 0, diag(s) L diag(s), s = (+1, -1,
-...), is an irreducible Z-matrix, so an eigenvector of lambda_min(L) is
-diag(s) p with p > 0, J-odd, and lambda_min(B) = lambda_min(L)."""
+"""Each matrix is factored once: L by one tail-first elimination of its
+dying chains and a banded Cholesky factorization of the kept band, its
+fold B on reflection-odd vectors by one tail-first elimination.  B alone
+decides whether L is positive definite, by the Perron argument: with
+coupling >= 0, diag(s) L diag(s), s = (+1, -1, ...), is an irreducible
+Z-matrix, so an eigenvector of lambda_min(L) is diag(s) p with p > 0,
+J-odd, and lambda_min(B) = lambda_min(L)."""
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_fold_refuses_indefinite_l(table, r_val, n):
 
 def test_one_factor_per_matrix(table, monkeypatch):
     # lambda(0), plain and constrained exact K, the Hager estimate and a
-    # solve on one omega = 0 operator: one pbtrf of L's whole band, one of
+    # solve on one omega = 0 operator: one pbtrf of L's kept band, one of
     # the fold's core
     grid = Grid(20.0, 201)
     op = assemble(table, 0.0, grid)
@@ -75,10 +76,17 @@ def test_one_factor_per_matrix(table, monkeypatch):
     inv_constant_estimate(op, ctx, orth_elements=elements)
     rng = np.random.default_rng(0)
     op.solve(PairGridFunction(grid, rng.standard_normal(grid.N), rng.standard_normal(grid.N)))
-    core = op.odd_factorization().core
-    assert 0 < core.start and shapes == [(3, core.stop - core.start), (3, op.n_unknowns)]
-    factor = pbtrf(op.band)
-    assert op.smallest_pivot == float(np.min(factor[2] ** 2))
-    assert np.array_equal(op.factorization(), factor)
+    core, f = op.odd_factorization().core, op.factorization()
+    kept = np.arange(op.n_unknowns)[f.core]
+    assert 0 < core.start and shapes == [(3, core.stop - core.start), (3, len(kept))]
+    assert len(f.chains) == 2 and len(kept) < op.n_unknowns
+    assert op.smallest_pivot == float(min(np.min(f.d), np.min(f.core_factor[2] ** 2)))
+    # a right-hand side that vanishes on the dying chains, as the carriers
+    # do, is solved on the kept band by its factor alone, bit for bit
+    dense = band_to_dense(op)
     for b in (rng.standard_normal(op.n_unknowns), rng.standard_normal((op.n_unknowns, 3))):
-        assert np.array_equal(op.solve_interior(b), pbtrs(factor, b))
+        x = op.solve_interior(b)
+        want = np.linalg.solve(dense, b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+        b[np.setdiff1d(np.arange(op.n_unknowns), kept)] = 0.0
+        assert np.array_equal(op.solve_interior(b)[kept], pbtrs(f.core_factor, b[kept]))
