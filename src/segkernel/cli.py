@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
         "orth_mode": args.orth_mode, "method": args.method,
         "seed": args.seed, "timings": bool(args.timings),
     }
-    records = run_sweep(table, plan, estimator_seed=args.seed)
+    records = run_sweep(table, plan)
     rows = []
     code = EXIT_OK
     for rec in records:
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["none", "one", "two"])
     sp.add_argument("--method", default="exact", choices=["exact", "estimated"])
     sp.add_argument("--seed", type=int, default=42,
-                    help="seeds the constrained estimate's restarts")
+                    help="recorded in the CSV header; changes no number")
     sp.add_argument("--timings", action="store_true",
                     help="record real runtimes (breaks byte determinism)")
 

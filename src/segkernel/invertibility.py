@@ -23,9 +23,8 @@ past each group in chunks whose sign is certified by interval bounds.
 The reflection symmetry supplies the lower triangle.  The dying chains'
 columns add one solve with the carriers', by the sign structure, and
 each of their rows is a multiple of its chain's join row on the kept
-band.  The estimate method returns plain K itself; under
-constraints a Hager-style one-norm power scheme provides a lower
-estimate (up to round-off).  The smallest eigenvalue is
+band.  The estimate method returns exact K, plain or constrained.
+The smallest eigenvalue is
 lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
 iteration with the reflection-odd fold of L(0), where its eigenvector
 diag(s) p, p > 0, lies (Perron-Frobenius), from the box mode
@@ -57,8 +56,6 @@ GROUP_TILES = 4             # tiles per step of the far sweep's anchor
 SOLVE_SEGMENT = 2 ** 14     # unknowns per back substitution of the inverse diagonals
 EIG_TOL = 1e-13
 EIG_MAX_ITERS = 200_000
-ESTIMATE_MAX_ITERS = 20     # Hager power steps per restart
-ESTIMATE_RESTARTS = 5       # the all-ones start, then random signs
 
 
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
@@ -408,60 +405,10 @@ def inv_constant_estimate(
     orth_elements=None,
     seed: int = 42,
 ) -> float:
-    """Lower estimate of the same norm.  Without constraints that is
-    plain K itself, exact from one solve; with them, Hager's one-norm
-    power scheme applied to the transpose, max over the all-ones start
-    and random-sign restarts drawn from seed.
-
-    Each iterate evaluates ||M^T x||_1 at a unit one-norm x, so the
-    estimate is a lower bound up to round-off.  Under one constraint
-    (theta = 0.5, omega = 0, R = 800) it is 4.4e-10 relative above an
-    np.longdouble evaluation of the row where exact K peaks and 8.2e-10
-    above the exact K inv_constant_exact returns (at N = 160 R + 1:
-    1.7e-9 and 3.1e-9).
-    """
-    if not orth_elements:
-        return inv_constant_exact(op, ctx)
-    m = op.n_unknowns
-    weights = _interior_weights(op, ctx)
-    op.factorization()      # a singular operator fails before the Gram check
-    proj = Projector(orth_elements, op.grid, ctx)
-
-    def m_apply(v):          # M = solve o P o D
-        return op.solve_interior(proj.apply(weights * v))
-
-    def mt_apply(v):         # M^T = D o P^T o solve
-        return weights * proj.apply_transpose(op.solve_interior(v))
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    seen = {}       # row j -> (est, z test passed, next row) of the iterate x = e_j
-    for restart in range(ESTIMATE_RESTARTS):
-        if restart == 0:
-            x = np.full(m, 1.0 / m)
-        else:
-            x = rng.choice([-1.0, 1.0], size=m) / m
-        j, est_prev = None, 0.0
-        for _ in range(ESTIMATE_MAX_ITERS):
-            if j in seen:       # restarts converge to the same rows: replay
-                est, stop, nxt = seen[j]
-            else:
-                y = mt_apply(x)
-                est = float(np.sum(np.abs(y)))
-                xi = np.sign(y)
-                xi[xi == 0.0] = 1.0
-                z = m_apply(xi)
-                stop = float(np.max(np.abs(z))) <= float(z @ x)
-                nxt = int(np.argmax(np.abs(z)))
-                if j is not None:
-                    seen[j] = est, stop, nxt
-            best = max(best, est)
-            if est <= est_prev or stop:
-                break
-            est_prev, j = est, nxt
-            x = np.zeros(m)
-            x[j] = 1.0
-    return best
+    """The same norm for --method estimated: the exact K of
+    inv_constant_exact, plain or constrained, bit for bit, under the same
+    size guard; seed is accepted and changes nothing."""
+    return inv_constant_exact(op, ctx, orth_elements)
 
 
 def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
@@ -603,7 +550,6 @@ class SweepRecord:
 def run_sweep_entry(
     p: ProfileTable,
     point: SweepPoint,
-    estimator_seed: int = 42,
     shared: dict | None = None,
 ) -> SweepRecord:
     """Run one sweep point; numerical failures are recorded, not raised.
@@ -632,9 +578,7 @@ def run_sweep_entry(
         if point.method == "exact":
             k_val = inv_constant_exact(op, ctx, orth_elements=elements)
         else:
-            k_val = inv_constant_estimate(
-                op, ctx, orth_elements=elements, seed=estimator_seed
-            )
+            k_val = inv_constant_estimate(op, ctx, orth_elements=elements)
         ce = lower_bound_from_counterexample(p, point.theta, point.omega,
                                              point.R, point.N)
     except SegkernelError as exc:
@@ -658,8 +602,8 @@ def run_sweep_entry(
     )
 
 
-def run_sweep(p: ProfileTable, plan, estimator_seed: int = 42):
+def run_sweep(p: ProfileTable, plan):
     """Run the whole plan in order, one entry at a time; lambda_min(0) is
     computed once per grid and shared by the points on it."""
     shared = {}
-    return [run_sweep_entry(p, pt, estimator_seed, shared) for pt in plan]
+    return [run_sweep_entry(p, pt, shared) for pt in plan]

@@ -113,10 +113,6 @@ class Projector:
         coef = self.gram_inv @ (self.zrows @ vec)
         return vec - self.carriers @ coef
 
-    def apply_transpose(self, vec):
-        coef = self.gram_inv.T @ (self.carriers.T @ vec)
-        return vec - self.zrows.T @ coef
-
     def __call__(self, g: PairGridFunction) -> PairGridFunction:
         """Projected copy of g with zero Dirichlet endpoints, so its
         trapezoid pairings with the z_i equal the interior ones."""

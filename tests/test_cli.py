@@ -135,6 +135,31 @@ class TestSweepCommand:
         row = [l for l in read_lines(out) if not l.startswith("#")][1]
         assert row.split(",")[4] == "estimated"
 
+    def test_constrained_estimate_rows_are_exact_rows(self, cache_dir, tmp_path):
+        # --method estimated prints exact K: only the method column differs
+        rows = {}
+        for method in ("exact", "estimated"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["sweep", *common_args(cache_dir), "--theta", "0.5",
+                         "--omega", "0,0.05", "--R", "20,40", "--orth-mode", "one",
+                         "--method", method, "--out", str(out)]) == 0
+            lines = [l.split(",") for l in read_lines(out) if not l.startswith("#")]
+            assert all(l[4] == method for l in lines[1:])
+            rows[method] = [l[:4] + l[5:] for l in lines]
+        assert len(rows["exact"]) == 5 and rows["estimated"] == rows["exact"]
+
+    def test_seed_changes_no_row(self, cache_dir, tmp_path):
+        rows = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.csv"
+            assert main(["sweep", *common_args(cache_dir), "--theta", "0.5",
+                         "--omega", "0,0.05", "--R", "20", "--orth-mode", "two",
+                         "--method", "estimated", "--seed", seed, "--out", str(out)]) == 0
+            lines = read_lines(out)
+            assert f"# seed={seed}" in lines
+            rows.append([l for l in lines if not l.startswith("#")])
+        assert len(rows[0]) == 3 and rows[0] == rows[1]
+
     def test_orth_mode(self, cache_dir, tmp_path):
         out = tmp_path / "orth.csv"
         code = main(["sweep", *common_args(cache_dir), "--theta", "0.5",
@@ -316,7 +341,7 @@ class TestConfigAndErrors:
             sweep,                                  # no --out
             [*sweep, "--orth-mode", "three", *out],
             [*sweep, "--N-profile", "abc", *out],
-            # --seed seeds the constrained estimate, so only sweep takes it
+            # only sweep takes --seed, which changes no number
             ["eig", *common_args(cache_dir), "--omega", "0.1", "--R", "10",
              "--seed", "1", *out],
             ["solve", *common_args(cache_dir), "--seed", "1", *out],

@@ -16,7 +16,6 @@ from segkernel.invertibility import (
     _constrained_row_sums,
     _interior_weights,
     _row_sums,
-    inv_constant_estimate,
     inv_constant_exact,
 )
 from segkernel.lapack import pbtrf, pbtrs
@@ -111,9 +110,9 @@ def test_dying_row_is_a_multiple_of_its_join_row(table, dense_inverses, r_val, n
 
 @pytest.mark.parametrize("n", [201, 200])
 @pytest.mark.parametrize("omega", [0.0, 0.5])
-def test_no_dying_chain_is_the_whole_band_path(table, monkeypatch, n, omega):
-    # R = 10 <= T: no dying chain, and factor, solves, constrained K and
-    # the Hager estimate are those of L's band Cholesky, bit for bit
+def test_no_dying_chain_is_the_whole_band_path(table, n, omega):
+    # R = 10 <= T: no dying chain, and factor, solves and constrained K
+    # are those of L's band Cholesky, bit for bit
     grid = Grid(10.0, n)
     op = assemble(table, omega, grid)
     ctx = NormContext(0.5)
@@ -132,10 +131,6 @@ def test_no_dying_chain_is_the_whole_band_path(table, monkeypatch, n, omega):
         rows = _row_sums(factor, pbtrs(factor, proj.carriers), proj.gram_inv @ proj.zrows,
                          _interior_weights(op, ctx))
         assert inv_constant_exact(op, ctx, elements) == float(np.max(rows))
-        est = inv_constant_estimate(op, ctx, elements)
-        with monkeypatch.context() as patch:
-            patch.setattr(DiscreteOperator, "solve_interior", lambda _, rhs: pbtrs(factor, rhs))
-            assert inv_constant_estimate(op, ctx, elements) == est
 
 
 def test_dying_chains_of_the_profile_operator(table):

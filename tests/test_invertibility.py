@@ -28,14 +28,6 @@ DENSE_CASES = [(10.0, 201, 0.5), (10.0, 200, 0.5), (10.0, 202, 0.5), (40.0, 1201
 DENSE_IDS = [f"R{r:g}-N{n}-omega{om:g}" for r, n, om in DENSE_CASES]
 
 
-@pytest.fixture(scope="module")
-def small_case(table):
-    grid = Grid(10.0, 201)
-    op = assemble(table, 0.5, grid)
-    dense = dense_matrix(table, 0.5, grid)
-    return grid, op, dense
-
-
 def dense_k(table, op, ctx, elements=None):
     """Max weighted absolute row sum of the dense L^-1 P diag(w)."""
     p_mat = np.eye(op.n_unknowns)
@@ -296,94 +288,21 @@ class TestReflection:
         assert rel_sup(w[::-1], w) <= 1e-12
 
 
-def solving_estimate(op, ctx, elements, seed=42):
-    """The Hager estimate as inv_constant_estimate computes it, with every
-    step's two solves made, also at rows an earlier restart followed."""
-    m = op.n_unknowns
-    weights = _interior_weights(op, ctx)
-    proj = Projector(elements, op.grid, ctx)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for restart in range(invertibility.ESTIMATE_RESTARTS):
-        if restart == 0:
-            x = np.full(m, 1.0 / m)
-        else:
-            x = rng.choice([-1.0, 1.0], size=m) / m
-        est_prev = 0.0
-        for _ in range(invertibility.ESTIMATE_MAX_ITERS):
-            y = weights * proj.apply_transpose(op.solve_interior(x))
-            est = float(np.sum(np.abs(y)))
-            xi = np.sign(y)
-            xi[xi == 0.0] = 1.0
-            z = op.solve_interior(proj.apply(weights * xi))
-            best = max(best, est)
-            if est <= est_prev or float(np.max(np.abs(z))) <= float(z @ x):
-                break
-            est_prev = est
-            x = np.zeros(m)
-            x[int(np.argmax(np.abs(z)))] = 1.0
-    return best
-
-
 class TestEstimate:
-    def test_lower_bound_and_quality(self, table, small_case):
-        _, op, _ = small_case
-        ctx = NormContext(0.5)
-        exact = inv_constant_exact(op, ctx)
-        est = inv_constant_estimate(op, ctx, seed=42)
-        assert est <= exact * (1.0 + 1e-12)
-        assert est >= 0.5 * exact
-
-    def test_never_exceeds_exact_random_cases(self, table):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            theta = rng.uniform(0.3, 0.8)
-            omega = rng.uniform(0.05, 0.6)
-            r_val = rng.uniform(8.0, 14.0)
-            grid = Grid(r_val, 201)
-            op = assemble(table, omega, grid)
-            ctx = NormContext(theta)
-            exact = inv_constant_exact(op, ctx)
-            est = inv_constant_estimate(op, ctx, seed=int(rng.integers(1 << 30)))
-            assert est <= exact * (1.0 + 1e-12)
-
-    def test_more_restarts_never_worse(self, table, small_case, monkeypatch):
-        grid, op, _ = small_case
-        ctx = NormContext(0.5)
-        elements = [kernel_basis(table, grid).z1]
-        e5 = inv_constant_estimate(op, ctx, orth_elements=elements, seed=42)
-        monkeypatch.setattr(invertibility, "ESTIMATE_RESTARTS", 1)
-        e1 = inv_constant_estimate(op, ctx, orth_elements=elements, seed=42)
-        assert e5 >= e1
-
-    @pytest.mark.parametrize("theta, omega, r_val, k", [(0.5, 0.0, 40.0, 1), (0.5, 0.0, 80.0, 1),
-                                                        (0.5, 0.05, 80.0, 2), (0.3, 0.2, 20.0, 1),
-                                                        (0.7, 0.0, 80.0, 2)])
-    def test_replayed_rows_give_the_same_estimate(self, table, monkeypatch, theta, omega,
-                                                   r_val, k):
-        # a restart that reaches a row an earlier one followed replays its
-        # record: the estimate of the loop that solves at every step, bit
-        # for bit, from fewer solves
-        grid = Grid(r_val, int(80 * r_val) + 1)
+    @pytest.mark.parametrize("n", [801, 800], ids=["odd", "even"])
+    @pytest.mark.parametrize("omega", [0.0, 0.05])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_estimate_is_exact_k(self, table, k, omega, n):
+        # --method estimated is exact K, plain or constrained, bit for bit
+        # and whatever the seed
+        grid = Grid(20.0, n)
         op = assemble(table, omega, grid)
-        ctx = NormContext(theta)
-        kb = kernel_basis(table, grid)
-        elements = [kb.z1, kb.z2][:k]
-        calls = count_operator_calls(monkeypatch)
-        est = inv_constant_estimate(op, ctx, orth_elements=elements)
-        replayed = calls["solves"]
-        calls["solves"] = 0
-        assert solving_estimate(op, ctx, elements) == est
-        assert replayed < calls["solves"]
-
-    def test_plain_estimate_is_exact_k(self, table):
-        # without constraints the estimate is plain K's one solve, bit for
-        # bit and whatever the seed
-        op = assemble(table, 0.2, Grid(100.0, 8001))
         ctx = NormContext(0.5)
-        exact = inv_constant_exact(op, ctx)
+        kb = kernel_basis(table, grid)
+        elements = [kb.z1, kb.z2][:k] or None
+        exact = inv_constant_exact(op, ctx, elements)
         for seed in (0, 42):
-            assert inv_constant_estimate(op, ctx, seed=seed) == exact
+            assert inv_constant_estimate(op, ctx, elements, seed=seed) == exact
 
 
 def test_negative_coupling_fails_the_sign_structure(table):
@@ -606,6 +525,15 @@ class TestSweep:
         # rejected before any solve
         for rec in recs[1:2] + recs[3:]:
             assert np.isnan(rec.K) and np.isnan(rec.lambda_min)
+
+    def test_constrained_estimate_under_the_size_guard(self, table, monkeypatch):
+        # the estimate is exact K, so the guard bounds it too: the entry
+        # records the refusal and goes on
+        monkeypatch.setattr(invertibility, "EXACT_SIZE_GUARD", 100)
+        rec = run_sweep_entry(table, SweepPoint(theta=0.5, omega=0.0, R=10.0, N=201,
+                                                orth_mode="one", method="estimated"))
+        assert rec.error == "BudgetExceeded: 398 unknowns exceed the exact-method guard 100"
+        assert np.isnan(rec.K) and np.isnan(rec.omega_K) and np.isfinite(rec.lambda_min)
 
     def test_estimated_method_recorded(self, table):
         rec = run_sweep_entry(

@@ -57,8 +57,8 @@ def test_fold_refuses_indefinite_l(table, r_val, n):
 
 
 def test_one_factor_per_matrix(table, monkeypatch):
-    # lambda(0), plain and constrained exact K, the Hager estimate and a
-    # solve on one omega = 0 operator: one pbtrf of L's kept band, one of
+    # lambda(0), plain and constrained exact K, the estimate and a solve
+    # on one omega = 0 operator: one pbtrf of L's kept band, one of
     # the fold's core
     grid = Grid(20.0, 201)
     op = assemble(table, 0.0, grid)
