@@ -49,7 +49,9 @@ from .norms import NormContext, Projector, cosh_weights, kernel_basis
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
 
-EXACT_SIZE_GUARD = 256_000   # constrained K: N = 160 R + 1 up to R = 800
+# constrained K: N = 160 R + 1 up to R = 800.  Its tracemalloc peak, L factored,
+# is ~119 B (one condition) or 159 B (two) per unknown of L: 30 or 41 MB at the guard
+EXACT_SIZE_GUARD = 256_000
 TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 GROUP_TILES = 4             # tiles per step of the far sweep's anchor
@@ -206,13 +208,14 @@ def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements)
     orthogonality projector: M = (T - y g^T) diag(w) with T = L^-1,
     y = L^-1 carriers and g^T = gram_inv @ zrows.
 
-    op.factorization() eliminates L's dying chains D first and factors
-    the kept band, the Schur complement S = L / L_DD on the other
-    unknowns K, whose inverse is T_KK (Meurant 1992).  Every element must
-    vanish on D (else ValueError), so g and the carriers are 0 there and
-    y_K = S^-1 carriers_K: M_KK is the same product for S, whose row sums
-    r' _row_sums forms from S's factor (the carriers are solved with it
-    too, so T and y cancel within one factor).  The rest is exact:
+    op.factorization() eliminates L's dying chains D first (none when
+    R <= T) and factors the kept band, the Schur complement S = L / L_DD
+    on the other unknowns K, whose inverse is T_KK (Meurant 1992).  Every
+    element must vanish on D (else ValueError), so g and the carriers are
+    0 there and y_K = S^-1 carriers_K: M_KK is the same product for S,
+    whose row sums r' _row_sums forms from S's factor (the carriers are
+    solved with it too, so T and y cancel within one factor).  The rest
+    is exact:
 
     - dying columns: M_ij = T_ij w_j, and s_i s_j T_ij > 0, as
       diag(s) L diag(s) is a Stieltjes matrix for coupling >= 0 (else
@@ -222,8 +225,6 @@ def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements)
       join J, so on its row i, M_iK = -link q_i M_JK, q the chain's
       response to its end's unit vector, and the row's kept part is
       |link q_i| r'_J.
-
-    With no dying chain the sums are _row_sums' on L's own factor.
     """
     m = op.n_unknowns
     weights = _interior_weights(op, ctx)
@@ -234,23 +235,17 @@ def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements)
     proj = Projector(orth_elements, op.grid, ctx)
     k = len(proj.zrows)
     f = op.factorization()
-    dying = np.zeros(m, dtype=bool)
-    for chain in f.chains:
-        dying[chain] = True
+    dying = np.ones(m, dtype=bool)
+    dying[f.core] = False
     if np.any(proj.zrows[:, dying]) or np.any(proj.carriers[dying]):
         raise ValueError("an orthogonality element does not vanish on a dying chain")
     if f.chains and np.any(op.coup < 0):
         raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
-    rhs = proj.carriers
-    if f.chains:
-        s = np.tile([1.0, -1.0], m // 2)
-        rhs = np.column_stack((rhs, np.where(dying, s * weights, 0.0)))
-    y = op.solve_interior(rhs)
+    s = np.tile([1.0, -1.0], m // 2)
+    y = op.solve_interior(np.column_stack((proj.carriers, np.where(dying, s * weights, 0.0))))
     kept = f.core
     rows = _row_sums(f.core_factor, y[kept, :k], (proj.gram_inv @ proj.zrows)[:, kept],
                      weights[kept])
-    if not f.chains:
-        return rows
     e = s * y[:, k]
     e[kept] += rows
     for chain, q, join in zip(f.chains, f.q, f.joins):
@@ -405,9 +400,9 @@ def inv_constant_estimate(
     orth_elements=None,
     seed: int = 42,
 ) -> float:
-    """The same norm for --method estimated: the exact K of
-    inv_constant_exact, plain or constrained, bit for bit, under the same
-    size guard; seed is accepted and changes nothing."""
+    """Public alias of inv_constant_exact under the estimate's name: exact
+    K, plain or constrained, bit for bit, under the same size guard; seed
+    is accepted and changes nothing."""
     return inv_constant_exact(op, ctx, orth_elements)
 
 
@@ -552,8 +547,8 @@ def run_sweep_entry(
     point: SweepPoint,
     shared: dict | None = None,
 ) -> SweepRecord:
-    """Run one sweep point; numerical failures are recorded, not raised.
-    shared is passed on to smallest_eigenvalue."""
+    """Run one sweep point, K by inv_constant_exact for either method;
+    failures are recorded, not raised; shared goes to smallest_eigenvalue."""
     t0 = time.perf_counter()
     k_val = lam = ce = float("nan")
     err = ""
@@ -575,10 +570,7 @@ def run_sweep_entry(
         except NoConvergence as exc:
             lam = exc.last_value if exc.last_value is not None else float("nan")
             err = f"NoConvergence: {exc}"
-        if point.method == "exact":
-            k_val = inv_constant_exact(op, ctx, orth_elements=elements)
-        else:
-            k_val = inv_constant_estimate(op, ctx, orth_elements=elements)
+        k_val = inv_constant_exact(op, ctx, orth_elements=elements)
         ce = lower_bound_from_counterexample(p, point.theta, point.omega,
                                              point.R, point.N)
     except SegkernelError as exc:

@@ -70,8 +70,14 @@ class KernelBasis:
 
 
 def kernel_basis(p: ProfileTable, grid: Grid) -> KernelBasis:
-    x = grid.nodes
-    v1, dv1, v2, dv2 = eval_profile(p, x)
+    """The kernel elements, mirror exact: the profile is evaluated at the
+    nodes x <= 0 and mirrored to x > 0 by V1(x) = V2(-x) and V1'(x) =
+    -V2'(-x), so z1 is J-odd and z2 J-even bit for bit."""
+    x, half = grid.nodes, (grid.N + 1) // 2
+    v1, dv1, v2, dv2 = eval_profile(p, x[:half])
+    mirror = slice(grid.N - half - 1, None, -1)     # the mirrors of the nodes x > 0
+    v1, v2 = np.concatenate((v1, v2[mirror])), np.concatenate((v2, v1[mirror]))
+    dv1, dv2 = np.concatenate((dv1, -dv2[mirror])), np.concatenate((dv2, -dv1[mirror]))
     z1 = PairGridFunction(grid, dv1, dv2)
     z2 = PairGridFunction(grid, x * dv1 + v1, x * dv2 + v2)
     return KernelBasis(z1=z1, z2=z2)

@@ -172,8 +172,8 @@ class DiscreteOperator:
         living u1 chain on the right, a band of half-bandwidth 2 again,
         mirror symmetric when L is.  A dying chain meets the kept band only
         at its end, next to the core's first u1 (left) or last u2 (right).
-        With no dying chain the kept band is L's band, and factor and
-        solves are its banded Cholesky factor's.
+        With no dying chain (R <= T) the chains are empty and the kept band
+        is L's band in natural order.
 
         Raises SingularSystem when the matrix is not numerically
         positive definite or a pivot falls below PIVOT_TOL *
@@ -186,23 +186,13 @@ class DiscreteOperator:
             link = -1.0 / self.grid.h ** 2
             core = self._band_columns(lo, hi)
             core[0, 0] = 0.0                # its link to the left dying chain
-            kept = slice(0, m)
-            if left or right:
-                living = self._chain(self.pot2_0[:left]), self._chain(self.pot1_0[n - right:])
-                living[1][0, :1] = link     # to the core's last u1
-                core = np.hstack((living[0], core, living[1]))
-                kept = np.concatenate((np.arange(1, lo, 2), np.arange(lo, hi),
-                                       np.arange(hi, m, 2)))
-            chains, tails, joins = [], [], []
-            for s, pot, join in ((slice(0, lo, 2), self.pot1_0[:left], left),
-                                 (slice(m - 1, hi, -2), self.pot2_0[n - right:][::-1],
-                                  left + hi - lo - 1)):
-                if len(pot):
-                    chains.append(s)
-                    tails.append(self._diagonal(pot))
-                    joins.append(join)
-            self._factor, self.smallest_pivot = _tail_first(chains, tails, kept, core,
-                                                            joins, link)
+            living = self._chain(self.pot2_0[:left]), self._chain(self.pot1_0[n - right:])
+            living[1][0, :1] = link         # to the core's last u1
+            kept = np.concatenate((np.arange(1, lo, 2), np.arange(lo, hi), np.arange(hi, m, 2)))
+            dying = self.pot1_0[:left], self.pot2_0[n - right:][::-1]
+            self._factor, self.smallest_pivot = _tail_first(
+                (slice(0, lo, 2), slice(m - 1, hi, -2)), [self._diagonal(p) for p in dying],
+                kept, np.hstack((living[0], core, living[1])), (left, left + hi - lo - 1), link)
         return self._factor
 
     def _diagonal(self, pot) -> np.ndarray:
@@ -243,10 +233,10 @@ class DiscreteOperator:
             a = 2 * min(int(coupled[0]) if coupled.size else h, h // 2 - 1)
             core = band[:, a:h].copy()
             core[1:, -1] -= band[:2, h]     # the fold
-            chains = (slice(0, a, 2), slice(1, a, 2)) if a else ()
+            chains = slice(0, a, 2), slice(1, a, 2)
             self._odd, self.smallest_pivot = _tail_first(
-                chains, [band[2, s] for s in chains], slice(a, h), core,
-                list(range(len(chains))), -1.0 / self.grid.h ** 2)
+                chains, [band[2, s] for s in chains], slice(a, h), core, (0, 1),
+                -1.0 / self.grid.h ** 2)
         return self._odd
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
@@ -296,14 +286,17 @@ def _tail_first(chains, tails, core, band, joins, link):
     """A band factored tail first, and its smallest pivot.  Its tails are
     the chains, uncoupled runs of unknowns with diagonals tails, linked
     by link to their neighbours and, at the end, to the core position
-    joins; band is the core's band, a copy (factored in place).  The
-    chains are stacked into one tridiagonal with a zero join, one L D L^T.
+    joins; empty chains are skipped.  band is the core's band, a copy
+    (factored in place).  The chains are stacked into one tridiagonal
+    with a zero join, one L D L^T.
     The exact Schur complement of the tails takes link^2 / d_end off the
     core diagonal at each join (d_end the chain's last pivot); the core is
     then Cholesky-factored.  A chain's response q to the unit vector u at
     its end needs no solve: L^T q = u / d_end, as the unit lower factor
     leaves u as it is, so q is 1/d_end times the running product of -e
     taken back from the end."""
+    live = [i for i, t in enumerate(tails) if len(t)]
+    chains, tails, joins = ([v[i] for i in live] for v in (chains, tails, joins))
     sizes = [len(t) for t in tails]
     ends = np.cumsum(sizes, dtype=int) - 1
     joins = np.asarray(joins, dtype=int)
@@ -334,7 +327,7 @@ def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
     cols = b.reshape(len(b), -1)
-    t = pttrs(f.d, f.e, _gather(cols, f.chains))
+    t = pttrs(f.d, f.e, np.concatenate([cols[:0]] + [cols[s] for s in f.chains]))
     core = cols[f.core]
     if isinstance(f.core, slice):       # a view
         core = core.copy()
@@ -350,11 +343,6 @@ def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
 def _run(mask: np.ndarray) -> int:
     """The length of mask's leading run of True."""
     return len(mask) if mask.all() else int(np.argmin(mask))
-
-
-def _gather(v: np.ndarray, chains) -> np.ndarray:
-    """The rows of v along the chains, chain by chain."""
-    return np.concatenate([v[:0]] + [v[s] for s in chains])
 
 
 def _factored(routine, *args):

@@ -97,15 +97,17 @@ def _half_line_residual(v1, v2, h):
     res = np.empty(2 * m)
     res[0] = v1[0] - 1.0
     res[1] = v2[0] - 1.0
-    # ODE at x=0 with reflection ghosts v1(-h)=v2(h), v2(-h)=v1(h);
-    # both component rows coincide there, so one representative is kept.
-    res[2] = -((v2[1] - v1[0]) - (v1[0] - v1[1])) / (h * h) + v1[0] * v2[0] ** 2
-    d2v1 = (np.diff(v1[1:]) - np.diff(v1[:-1])) / (h * h)
-    d2v2 = (np.diff(v2[1:]) - np.diff(v2[:-1])) / (h * h)
-    res[4::2] = -d2v1 + v1[1:-1] * v2[1:-1] ** 2
-    res[3:-1:2] = -d2v2 + v2[1:-1] * v1[1:-1] ** 2
+    # the ODE rows from x = 0 on, with reflection ghosts v1(-h) = v2(h),
+    # v2(-h) = v1(h); both component rows coincide at 0, so v1's is kept
+    res[2::2], r2 = _ode_rows(np.insert(v1, 0, v2[1]), np.insert(v2, 0, v1[1]), h)
+    res[3:-1:2] = r2[1:]
     res[-1] = v2[-1]
     return res
+
+
+def _ode_rows(v1, v2, h):
+    """-v1'' + v1 v2^2 and -v2'' + v2 v1^2 at all but the end nodes."""
+    return [-np.diff(v, 2) / (h * h) + v[1:-1] * w[1:-1] ** 2 for v, w in ((v1, v2), (v2, v1))]
 
 
 def _half_line_jacobian_banded(v1, v2, h):
@@ -284,11 +286,7 @@ def _table_derivatives(xs, v1, v2, a, b):
 
 def discrete_residual(p: ProfileTable):
     """Sup norm of the full-table ODE residual over interior nodes."""
-    h = p.spacing
-    d2v1 = (np.diff(p.v1[1:]) - np.diff(p.v1[:-1])) / (h * h)
-    d2v2 = (np.diff(p.v2[1:]) - np.diff(p.v2[:-1])) / (h * h)
-    r1 = -d2v1 + p.v1[1:-1] * p.v2[1:-1] ** 2
-    r2 = -d2v2 + p.v2[1:-1] * p.v1[1:-1] ** 2
+    r1, r2 = _ode_rows(p.v1, p.v2, p.spacing)
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 

@@ -82,6 +82,15 @@ class TestKernelBasis:
         assert kb.z2.comp1[j0] == 1.0
         assert kb.z2.comp2[j0] == 1.0
 
+    @pytest.mark.parametrize("r_val, n", [(40.0, 3201), (160.0, 12801), (20.0, 400),
+                                          (10.0, 201), (10.0, 200)])
+    def test_mirror_exact(self, table, r_val, n):
+        # V1(x) = V2(-x): z1 is J-odd and z2 J-even to the bit, odd and
+        # even N, inside and beyond the table
+        kb = kernel_basis(table, Grid(r_val, n))
+        assert np.array_equal(kb.z1.comp1, -kb.z1.comp2[::-1])
+        assert np.array_equal(kb.z2.comp1, kb.z2.comp2[::-1])
+
     def test_tail_values(self, table, grid):
         kb = kernel_basis(table, grid)
         a = table.asymptotics
