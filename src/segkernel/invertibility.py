@@ -11,19 +11,23 @@ nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
 max(s * solve(s * w)), one banded solve, of the operator's half-size
 fold on reflection-odd vectors, such as s * w.  Under orthogonality
 constraints, imposed by norms.Projector on the interleaved unknowns, the
-row sums of L^-1 composed with the projector are summed on the kept
-band, L with its dying-component tail chains eliminated exactly (the
-kernel elements vanish there), from its Cholesky factor, which also
-solves the carriers: over the upper triangle, in tiles of rows and three
-steps: the diagonal and first off-diagonal of the inverse (Takahashi
-selected inversion in scalar rows, banded back substitution in
-segments); the triangle inside every tile, by one recurrence vectorised
-across the tiles; and a sweep up groups of tiles that sums the columns
-past each group in chunks whose sign is certified by interval bounds.
-The reflection symmetry supplies the lower triangle.  The dying chains'
-columns add one solve with the carriers', by the sign structure, and
-each of their rows is a multiple of its chain's join row on the kept
-band.  The estimate method returns exact K, plain or constrained.
+row sums of L^-1 composed with the projector are summed on the coupled
+core, the Schur complement of L's four tail chains, eliminated exactly
+first, from its Cholesky factor, which also solves the carriers: over
+the upper triangle, in tiles of rows and three steps: the diagonal and
+first off-diagonal of the inverse (Takahashi selected inversion in
+scalar rows, banded back substitution in segments); the triangle inside
+every tile, by one recurrence vectorised across the tiles; and a sweep
+up groups of tiles that sums the columns past each group in chunks whose
+sign is certified by interval bounds.  The reflection symmetry supplies
+the lower triangle.  The chains' rows and columns come from exact
+identities: the dying chains' columns add one solve with the carriers',
+by the sign structure, and each of their rows is a multiple of its
+chain's join row; the living chains, free chains -d2/h2 + omega^2 with
+inverses in closed form, give every row of theirs and of the core over
+their columns as convex sequences, summed from prefix sums where their
+sign changes, and their rows over the core columns a sign per tile of
+rows and column.  The estimate method returns exact K, plain or constrained.
 The smallest eigenvalue is
 lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
 iteration with the reflection-odd fold of L(0), where its eigenvector
@@ -42,15 +46,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import living_rows
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
 from .lapack import gbsv
-from .norms import NormContext, Projector, cosh_weights, kernel_basis
+from .norms import NormContext, Projector, cosh_weights, kernel_basis, log_cosh
 from .operator1d import DiscreteOperator, Grid, assemble
 from .profile import ProfileTable
 
 # constrained K: N = 160 R + 1 up to R = 800.  Its tracemalloc peak, L factored,
-# is ~119 B (one condition) or 159 B (two) per unknown of L: 30 or 41 MB at the guard
+# is ~99 B (one condition) or 146 B (two) per unknown of L: 25 or 38 MB at the guard
 EXACT_SIZE_GUARD = 256_000
 TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
@@ -208,26 +213,29 @@ def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements)
     orthogonality projector: M = (T - y g^T) diag(w) with T = L^-1,
     y = L^-1 carriers and g^T = gram_inv @ zrows.
 
-    op.factorization() eliminates L's dying chains D first (none when
-    R <= T) and factors the kept band, the Schur complement S = L / L_DD
-    on the other unknowns K, whose inverse is T_KK (Meurant 1992).  Every
-    element must vanish on D (else ValueError), so g and the carriers are
-    0 there and y_K = S^-1 carriers_K: M_KK is the same product for S,
-    whose row sums r' _row_sums forms from S's factor (the carriers are
-    solved with it too, so T and y cancel within one factor).  The rest
-    is exact:
+    op.factorization() eliminates L's four chains first (none when
+    R <= T; ValueError unless the right ones mirror the left ones, whose
+    rows give theirs) and factors the coupled core C, the Schur complement
+    S = L / L_(chains), whose inverse is T_CC (Meurant 1992).  Every
+    element must vanish on the two dying chains D (else ValueError), so
+    g and the carriers are 0 there.  _row_sums forms M_CC's row sums from
+    S's factor, with y_C from the carriers' solve by the same factor, so
+    that T and y cancel within one factor.  The rest is exact:
 
     - dying columns: M_ij = T_ij w_j, and s_i s_j T_ij > 0, as
       diag(s) L diag(s) is a Stieltjes matrix for coupling >= 0 (else
       SegkernelError), so their share of row i is
       e_i = s_i (L^-1 (s w on D))_i, solved with the carriers;
-    - dying rows: a chain meets K only through its end's link to its
-      join J, so on its row i, M_iK = -link q_i M_JK, q the chain's
-      response to its end's unit vector, and the row's kept part is
-      |link q_i| r'_J.
+    - the two living chains' rows and columns: chains.living_rows, for
+      elements affine there (else ValueError), as past |x| = T;
+    - dying rows: a chain meets the rest only through its end's link to
+      its join J, so on its row i, M_iK = -link q_i M_JK off D, q the
+      chain's response to its end's unit vector, and the row's share
+      there is |link q_i| times J's.
     """
     m = op.n_unknowns
-    weights = _interior_weights(op, ctx)
+    log_w = -log_cosh(ctx.theta * op.grid.interior)
+    weights = np.repeat(np.exp(log_w), 2)     # _interior_weights
     if m > EXACT_SIZE_GUARD:
         raise BudgetExceeded(
             f"{m} unknowns exceed the exact-method guard {EXACT_SIZE_GUARD}"
@@ -235,21 +243,35 @@ def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements)
     proj = Projector(orth_elements, op.grid, ctx)
     k = len(proj.zrows)
     f = op.factorization()
-    dying = np.ones(m, dtype=bool)
-    dying[f.core] = False
-    if np.any(proj.zrows[:, dying]) or np.any(proj.carriers[dying]):
+    if f.core.start != m - f.core.stop:     # chains of unequal lengths, or on one side only
+        raise ValueError("L's chains are not mirror images: potentials not mirror exact")
+    if any(np.any(proj.zrows[:, c]) or np.any(proj.carriers[c]) for c in f.chains[:2]):
         raise ValueError("an orthogonality element does not vanish on a dying chain")
-    if f.chains and np.any(op.coup < 0):
-        raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+    if f.chains:
+        if np.any(op.coup < 0):
+            raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+        z = proj.zrows[:, f.chains[2]]
+        if np.any(np.max(np.abs(np.diff(z, 2)), axis=1, initial=0.0)
+                  > 64 * np.finfo(float).eps * np.max(np.abs(z), axis=1)):
+            raise ValueError("an orthogonality element is not affine on a living chain")
     s = np.tile([1.0, -1.0], m // 2)
-    y = op.solve_interior(np.column_stack((proj.carriers, np.where(dying, s * weights, 0.0))))
-    kept = f.core
-    rows = _row_sums(f.core_factor, y[kept, :k], (proj.gram_inv @ proj.zrows)[:, kept],
-                     weights[kept])
-    e = s * y[:, k]
-    e[kept] += rows
-    for chain, q, join in zip(f.chains, f.q, f.joins):
-        e[chain] += np.abs(f.link * q[:, 0]) * rows[join]
+    rhs = np.zeros((m, k + 1))
+    rhs[:, :k] = proj.carriers
+    for chain in f.chains[:2]:
+        rhs[chain, k] = s[chain] * weights[chain]
+    g = proj.gram_inv @ proj.zrows
+    y = op.solve_interior(rhs)
+    del rhs, proj       # g and y are all that is used of them
+    e, y = np.multiply(s, y[:, k], out=s), y[:, :k]
+    core_sums = _row_sums(f.core_factor, y[f.core], g[:, f.core], weights[f.core])
+    if f.chains:
+        core_part, chain_rows = living_rows(f, y, g, log_w, TILE_ROWS)
+        core_sums += core_part
+        for chain in f.chains[2:]:      # mirror images of each other
+            e[chain] += chain_rows
+    e[f.core] += core_sums
+    for chain, q, join in zip(f.chains[:2], f.q, f.joins):
+        e[chain] += np.abs(f.link * q[:, 0]) * core_sums[join]
     return e
 
 
@@ -282,10 +304,9 @@ def _row_sums(factor, y, g, weights) -> np.ndarray:
        and where that bound keeps one sign the chunk adds
        |coef_r . sum_j gen_j w_j|; only the (row, chunk) pairs whose
        bound holds 0 are summed entry by entry, once per group.  The
-       sign s_j is constant along one parity of j on each stretch of the
-       band (on the kept band: the core and each living chain), and as
-       diag(s) L diag(s) is a Stieltjes matrix, a row of M changes sign
-       only a few times there, so that is a few chunks per row.  Once
+       sign s_j is constant along one parity of j, and as diag(s) L
+       diag(s) is a Stieltjes matrix, a row of M changes sign only a
+       few times there, so that is a few chunks per row.  Once
        per group, the anchor past it (an O(m) product) and the chunk
        ranges and sums are then carried to the group above, the ranges
        made exact again where they straddled.

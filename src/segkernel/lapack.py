@@ -2,10 +2,10 @@
 
 `pttrf` and `pttrs` factor and solve the uncoupled tails of the
 operator and of its reflection-odd fold (symmetric tridiagonals),
-`pbtrf` and `pbtrs` the operator's kept band and the fold's coupled
-core, and `gbsv` gives the profile's Newton step and, with no
-subdiagonal, the one back substitution of constrained K, which gives
-the diagonal and first off-diagonal of the kept band's inverse.  The
+`pbtrf` and `pbtrs` the coupled cores of both, and `gbsv` gives the
+profile's Newton step and, with no subdiagonal, the back substitutions
+of constrained K, which give the diagonal and first off-diagonal of the
+operator's core's inverse.  The
 symbols come from the LAPACK that numpy has already loaded: opening
 numpy's linalg extension with ctypes resolves them through that
 module's own dependency, so no second LAPACK is imported.  On the numpy

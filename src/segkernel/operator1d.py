@@ -13,13 +13,14 @@ on first use, and each matrix is factored once per operator.  The
 coupling 2 V1 V2 vanishes where the profile's tail extension sets one
 component to zero, so both factorizations eliminate uncoupled tails
 first, as one tridiagonal, and then Cholesky-factor what is left.  L's
-tails are its two dying-component chains, u1 on the left and u2 on the
-right, whose partner potential is 0 there: what is left, the kept band,
-is the coupled core and the two living chains in natural order, about
-half of L, and every general solve and constrained K use it.  The
-potentials are mirror exact, so on reflection-odd vectors L is a
-half-size band, the fold, whose tails are both chains at its left end
-and whose core is the small coupled one.
+tails are its four chains over |x| > T: the dying u1 on the left and u2
+on the right, whose partner potential is 0 there, and the living u2 on
+the left and u1 on the right, where L is the free chain
+-d2/h2 + omega^2.  What is left is the coupled core |x| <= T, whose
+size does not grow with R, and every general solve and constrained K
+use it.  The potentials are mirror exact, so on reflection-odd vectors
+L is a half-size band, the fold, whose tails are both chains at its
+left end and whose core is the small coupled one.
 """
 
 from __future__ import annotations
@@ -165,15 +166,15 @@ class DiscreteOperator:
 
     def factorization(self) -> TailFirst:
         """The factorization of L, computed once, that every general solve
-        and constrained K use.  Its tails are the dying chains
-        (dying_nodes), u1 from the left end and u2 from the right end in;
-        its core is the kept band, every other unknown in natural order:
-        the living u2 chain on the left, the coupled unknowns and the
-        living u1 chain on the right, a band of half-bandwidth 2 again,
-        mirror symmetric when L is.  A dying chain meets the kept band only
-        at its end, next to the core's first u1 (left) or last u2 (right).
-        With no dying chain (R <= T) the chains are empty and the kept band
-        is L's band in natural order.
+        and constrained K use.  Its tails are L's four uncoupled chains over
+        the nodes of dying_nodes(), each in order towards the core: the
+        dying u1 on the left and u2 on the right, then the living u2 on the
+        left and u1 on the right, whose potential is 0 there, so that L is
+        the free chain -d2/h2 + omega^2 on them.  Its core is the coupled
+        unknowns between, |x| <= T, in natural order, mirror symmetric when
+        L is, and the same size for every R at one h; each chain meets it
+        at its first (left) or last (right) u1 or u2.  With no chain
+        (R <= T) the core is L's band in natural order.
 
         Raises SingularSystem when the matrix is not numerically
         positive definite or a pivot falls below PIVOT_TOL *
@@ -183,28 +184,19 @@ class DiscreteOperator:
         if self._factor is None:
             m, n, (left, right) = self.n_unknowns, self.grid.N - 2, self.dying_nodes()
             lo, hi = 2 * left, m - 2 * right
-            link = -1.0 / self.grid.h ** 2
             core = self._band_columns(lo, hi)
-            core[0, 0] = 0.0                # its link to the left dying chain
-            living = self._chain(self.pot2_0[:left]), self._chain(self.pot1_0[n - right:])
-            living[1][0, :1] = link         # to the core's last u1
-            kept = np.concatenate((np.arange(1, lo, 2), np.arange(lo, hi), np.arange(hi, m, 2)))
-            dying = self.pot1_0[:left], self.pot2_0[n - right:][::-1]
+            core[0, :2] = 0.0               # its links to the left chains
+            pots = (self.pot1_0[:left], self.pot2_0[n - right:][::-1],
+                    self.pot2_0[:left], self.pot1_0[n - right:][::-1])
             self._factor, self.smallest_pivot = _tail_first(
-                (slice(0, lo, 2), slice(m - 1, hi, -2)), [self._diagonal(p) for p in dying],
-                kept, np.hstack((living[0], core, living[1])), (left, left + hi - lo - 1), link)
+                (slice(0, lo, 2), slice(m - 1, hi, -2), slice(1, lo, 2), slice(m - 2, hi - 1, -2)),
+                [self._diagonal(p) for p in pots], slice(lo, hi), core,
+                (0, hi - lo - 1, 1, hi - lo - 2), -1.0 / self.grid.h ** 2)
         return self._factor
 
     def _diagonal(self, pot) -> np.ndarray:
         """The diagonal entries of L over a component's potential pot."""
         return 2.0 / self.grid.h ** 2 + (pot + self.w2)
-
-    def _chain(self, pot) -> np.ndarray:
-        """The upper band of an uncoupled chain over the potential pot."""
-        band = np.zeros((3, len(pot)))
-        band[2] = self._diagonal(pot)
-        band[1, 1:] = -1.0 / self.grid.h ** 2
-        return band
 
     def odd_factorization(self) -> TailFirst:
         """The factorization, computed once, of L on J-odd vectors [a; -a
@@ -278,7 +270,7 @@ class TailFirst(NamedTuple):
     ends: np.ndarray        # each chain's last tail position
     joins: np.ndarray       # the core position next to it
     link: float             # the entry of L linking the two, -1/h^2
-    core: slice | np.ndarray    # the core's unknowns, in order
+    core: slice             # the core's unknowns, in order
     core_factor: np.ndarray  # pbtrf of the core's Schur complement
 
 
@@ -328,9 +320,7 @@ def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
         raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
     cols = b.reshape(len(b), -1)
     t = pttrs(f.d, f.e, np.concatenate([cols[:0]] + [cols[s] for s in f.chains]))
-    core = cols[f.core]
-    if isinstance(f.core, slice):       # a view
-        core = core.copy()
+    core = cols[f.core].copy()
     np.subtract.at(core, f.joins, f.link * t[f.ends])
     x = np.empty(cols.shape)
     x[f.core] = core = pbtrs(f.core_factor, core)

@@ -1,9 +1,10 @@
-"""L factored with its dying-component tail chains eliminated first: for
-|x| > T the profile's tail extension sets V1 = 0 on the left and V2 = 0
-on the right, so u1 on the left and u2 on the right are uncoupled chains
-that the kernel elements vanish on.  Constrained K sweeps the kept band,
-the Schur complement on the other unknowns, and adds the dying columns
-by one solve and the dying rows from their chains' join rows."""
+"""L factored with its tail chains eliminated first: for |x| > T the
+profile's tail extension sets V1 = 0 on the left and V2 = 0 on the right,
+so u1 on the left and u2 on the right are uncoupled dying chains that the
+kernel elements vanish on, and the other components there living chains.
+Constrained K sweeps the coupled core, the Schur complement on the other
+unknowns, and adds the dying columns by one solve and the dying rows from
+their chains' join rows (the living chains: tests/test_living_chains.py)."""
 
 from unittest import mock
 
@@ -67,7 +68,7 @@ def test_every_row_sum_matches_dense(table, dense_inverses, r_val, n, omega):
     ctx = NormContext(0.5)
     kb = kernel_basis(table, grid)
     f, kept, dying = split(op)
-    assert len(f.chains) == 2 and len(dying) > 0.15 * op.n_unknowns
+    assert len(f.chains) == 4 and len(dying) > 0.15 * op.n_unknowns
     for k in (1, 2):
         elements = [kb.z1, kb.z2][:k]
         want = dense_rows(dense_inverses(grid, omega), op, ctx, elements).sum(axis=1)
@@ -80,7 +81,7 @@ def test_every_row_sum_matches_dense(table, dense_inverses, r_val, n, omega):
 @pytest.mark.parametrize("r_val, n", GRIDS[:2], ids=lambda v: str(v))
 @pytest.mark.parametrize("omega", [0.0, 0.3])
 def test_kept_band_inverse_is_the_kept_block(dense_inverses, table, r_val, n, omega):
-    # (L^-1)_KK = (L / L_DD)^-1: the kept band factored is the Schur complement
+    # (L^-1)_KK = (L / L_(chains))^-1: the core factored is the Schur complement
     grid = Grid(r_val, n)
     op = assemble(table, omega, grid)
     f, kept, _ = split(op)
@@ -92,16 +93,17 @@ def test_kept_band_inverse_is_the_kept_block(dense_inverses, table, r_val, n, om
 @pytest.mark.parametrize("r_val, n", [(20.0, 401), (30.0, 600)], ids=lambda v: str(v))
 @pytest.mark.parametrize("k", [1, 2])
 def test_dying_row_is_a_multiple_of_its_join_row(table, dense_inverses, r_val, n, k):
-    # a chain meets the kept unknowns only through its end's link to its
-    # join J, so on its row i, M_iK = -link q_i M_JK
+    # a dying chain meets the other unknowns only through its end's link to
+    # its join J, so on its row i, M_iK = -link q_i M_JK off the dying chains
     grid = Grid(r_val, n)
     op = assemble(table, 0.05, grid)
     ctx = NormContext(0.5)
     kb = kernel_basis(table, grid)
     f, kept, _ = split(op)
+    dying = np.concatenate([np.arange(op.n_unknowns)[c] for c in f.chains[:2]])
     mat = dense_rows(dense_inverses(grid, 0.05), op, ctx, [kb.z1, kb.z2][:k])
-    kept_part = mat[:, kept].sum(axis=1)
-    for chain, q, join in zip(f.chains, f.q, f.joins):
+    kept_part = np.delete(mat, dying, axis=1).sum(axis=1)
+    for chain, q, join in zip(f.chains[:2], f.q, f.joins):
         rows = np.arange(op.n_unknowns)[chain]
         want = kept_part[rows]
         got = np.abs(f.link * q[:, 0]) * kept_part[kept[join]]
@@ -120,7 +122,7 @@ def test_no_dying_chain_is_the_whole_band_path(table, n, omega):
     factor = pbtrf(op.band)
     f = op.factorization()
     assert op.dying_nodes() == (0, 0) and f.chains == ()
-    assert np.array_equal(f.core, np.arange(op.n_unknowns))
+    assert f.core == slice(0, op.n_unknowns)
     assert np.array_equal(f.core_factor, factor)
     assert op.smallest_pivot == float(np.min(factor[2] ** 2))
     b = np.random.default_rng(0).standard_normal((op.n_unknowns, 3))
@@ -135,17 +137,20 @@ def test_no_dying_chain_is_the_whole_band_path(table, n, omega):
 
 
 def test_dying_chains_of_the_profile_operator(table):
-    # the dying chains run over the nodes |x| > T, the same length at both
-    # ends of the mirror-exact L; the kept band is m/2 + 2 x (coupled nodes)
+    # the chains run over the nodes |x| > T, the same length at both ends
+    # of the mirror-exact L; the core is the 2 x 961 unknowns of |x| <= T
     grid = Grid(40.0, 3201)
     op = assemble(table, 0.0, grid)
     left, right = op.dying_nodes()
     x = grid.interior
     assert left == right == np.count_nonzero(x < -12.0)
-    f, kept, dying = split(op)
-    assert len(kept) == op.n_unknowns - 2 * left == 4160
+    f, kept, others = split(op)
+    assert len(kept) == op.n_unknowns - 4 * left == 1922
     u1_left = np.arange(0, 2 * left, 2)
-    assert np.array_equal(dying, np.concatenate((u1_left, op.n_unknowns - 1 - u1_left[::-1])))
+    dying = np.concatenate([np.arange(op.n_unknowns)[c] for c in f.chains[:2]])
+    assert np.array_equal(np.sort(dying),
+                          np.concatenate((u1_left, op.n_unknowns - 1 - u1_left[::-1])))
+    assert np.array_equal(others, np.setdiff1d(np.arange(op.n_unknowns), kept))
     assert np.all(op.coup[:left] == 0.0) and np.all(op.pot2_0[:left] == 0.0)
 
 

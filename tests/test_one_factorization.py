@@ -1,5 +1,5 @@
 """Each matrix is factored once: L by one tail-first elimination of its
-dying chains and a banded Cholesky factorization of the kept band, its
+four chains and a banded Cholesky factorization of its coupled core, its
 fold B on reflection-odd vectors by one tail-first elimination.  B alone
 decides whether L is positive definite, by the Perron argument: with
 coupling >= 0, diag(s) L diag(s), s = (+1, -1, ...), is an irreducible
@@ -58,7 +58,7 @@ def test_fold_refuses_indefinite_l(table, r_val, n):
 
 def test_one_factor_per_matrix(table, monkeypatch):
     # lambda(0), plain and constrained exact K, the estimate and a solve
-    # on one omega = 0 operator: one pbtrf of L's kept band, one of
+    # on one omega = 0 operator: one pbtrf of L's coupled core, one of
     # the fold's core
     grid = Grid(20.0, 201)
     op = assemble(table, 0.0, grid)
@@ -79,10 +79,10 @@ def test_one_factor_per_matrix(table, monkeypatch):
     core, f = op.odd_factorization().core, op.factorization()
     kept = np.arange(op.n_unknowns)[f.core]
     assert 0 < core.start and shapes == [(3, core.stop - core.start), (3, len(kept))]
-    assert len(f.chains) == 2 and len(kept) < op.n_unknowns
+    assert len(f.chains) == 4 and len(kept) < op.n_unknowns
     assert op.smallest_pivot == float(min(np.min(f.d), np.min(f.core_factor[2] ** 2)))
-    # a right-hand side that vanishes on the dying chains, as the carriers
-    # do, is solved on the kept band by its factor alone, bit for bit
+    # a right-hand side that vanishes on the chains is solved on the core
+    # by its factor alone, bit for bit
     dense = band_to_dense(op)
     for b in (rng.standard_normal(op.n_unknowns), rng.standard_normal((op.n_unknowns, 3))):
         x = op.solve_interior(b)

@@ -13,6 +13,7 @@ from segkernel.invertibility import (
     inv_constant_exact,
     smallest_eigenvalue,
 )
+from segkernel.lapack import pbtrf, pbtrs
 from segkernel.norms import NormContext
 from segkernel import operator1d
 from segkernel.operator1d import DiscreteOperator, Grid, _potentials, assemble
@@ -108,10 +109,13 @@ def test_odd_solve_matches_full_solve(table, parity, half, r_val, omega, cols, s
 def test_north_star_values_match_full_system(table, omega, n):
     # at omega = 0.05 the fold and the full solve agree to 2e-10.  At
     # omega = 0, lambda(0) = 3.7e-6, they differ by the conditioning of
-    # L(0) (K by 4-5e-10, lambda by 4.5-8.5e-10 relative), and against
+    # L(0) (K by 1.0e-10 and 4.3e-11, lambda by 8.3e-11 and 3.6e-11).  Against
     # solves refined with np.longdouble residuals the fold is no farther
-    # off: K 8.3e-10 against 1.3e-9 and 2.8e-10 against 6.9e-10, lambda
-    # 8.9e-10 against 1.7e-9 and 3.0e-10 against 7.4e-10 (N = 64001, 64000)
+    # off than one Cholesky factorization of L's whole band: K 8.3e-10
+    # against 1.3e-9 and 2.8e-10 against 6.9e-10, lambda 8.9e-10 against
+    # 1.7e-9 and 3.0e-10 against 7.4e-10 (N = 64001, 64000), and neither is
+    # the full solve, L's four chains eliminated first: K 7.3e-10 and
+    # 2.4e-10, lambda 8.1e-10 and 2.6e-10
     grid = Grid(800.0, n)
     op = assemble(table, omega, grid)
     weights = _interior_weights(op, NormContext(0.5))
@@ -127,10 +131,15 @@ def test_north_star_values_match_full_system(table, omega, n):
         return
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("np.longdouble is no wider than float64 here")
+    k_band = np.max(s * pbtrs(pbtrf(op.band), s * weights))
+    factor0 = pbtrf(op0.band)
+    lam_band = full_system_eigenvalue(op0, lambda v: pbtrs(factor0, v))
     k_ref = float(np.max(s * refined_solve(op, s * weights)))
     lam_ref = full_system_eigenvalue(op0, lambda v: refined_solve(op0, v))
-    assert abs(k - k_ref) <= abs(k_full - k_ref)
-    assert abs(lam - lam_ref) <= abs(lam_full - lam_ref)
+    for got in (k, k_full):
+        assert abs(got - k_ref) <= abs(k_band - k_ref)
+    for got in (lam, lam_full):
+        assert abs(got - lam_ref) <= abs(lam_band - lam_ref)
 
 
 def test_unmirrored_operator_raises(table):
