@@ -29,17 +29,23 @@ their columns as convex sequences, summed from prefix sums where their
 sign changes, and their rows over the core columns a sign per tile of
 rows and column.  The estimate method returns exact K, plain or constrained.
 The smallest eigenvalue is
-lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly: inverse
-iteration with the reflection-odd fold of L(0), where its eigenvector
-diag(s) p, p > 0, lies (Perron-Frobenius), from the box mode
-s * cos(pi x / (2R)), certified from below by the Collatz-Wielandt bound
-of the Z-matrix diag(s) L(0) diag(s) on the final iterate, read off the
-band with its rounding bounded, run once per grid: a sweep shares
-lambda_min(0) between the points on one grid.
+lambda_min(0) + omega^2, as L = L(0) + omega^2 I exactly, and its
+eigenvector diag(s) p, p > 0, lies in the reflection-odd fold of L(0)
+(Perron-Frobenius).  The fold's two chains are eliminated exactly: the
+free one in closed form, the dying one from its last nodes, whose
+pivots contract, so lambda_min(0) is the root of the smallest eigenvalue
+of the fold's coupled core's Schur complement S(sigma), found by one
+step of inverse iteration and then Rayleigh functional iteration on the
+core alone, from the box mode s * cos(pi x / (2R)); no solve runs over
+the chains.  It is certified from below by the Collatz-Wielandt bound of
+the Z-matrix diag(s) B diag(s), B the fold less its dying chain, read
+off the band with its rounding bounded, run once per grid: a sweep
+shares lambda_min(0) between the points on one grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -49,9 +55,9 @@ import numpy as np
 from .chains import living_rows
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
-from .lapack import gbsv
+from .lapack import gbsv, pbtrf, pbtrs
 from .norms import NormContext, Projector, cosh_weights, kernel_basis, log_cosh
-from .operator1d import DiscreteOperator, Grid, assemble
+from .operator1d import DiscreteOperator, Grid, assemble, fold
 from .profile import ProfileTable
 
 # constrained K: N = 160 R + 1 up to R = 800.  Its tracemalloc peak, L factored,
@@ -61,8 +67,7 @@ TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 GROUP_TILES = 4             # tiles per step of the far sweep's anchor
 SOLVE_SEGMENT = 2 ** 14     # unknowns per back substitution of the inverse diagonals
-EIG_TOL = 1e-13
-EIG_MAX_ITERS = 200_000
+EIG_MAX_ITERS = 100          # a guard: lambda_min takes 2 or 3 steps on the fold's core
 
 
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
@@ -427,25 +432,28 @@ def inv_constant_estimate(
     return inv_constant_exact(op, ctx, orth_elements)
 
 
-def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
-    """Rigorous lower bound on lambda_min of L from any [v; -v reversed].
+def _perron_lower_bound(band: np.ndarray, v: np.ndarray, join: int = 0,
+                        schur: float = 0.0) -> float:
+    """Rigorous lower bound on lambda_min of the symmetric matrix A of
+    band from any [v; -v reversed], less schur on A's diagonal at join.
 
-    The off-diagonals of D L D, D = diag(s), are the band's -1/h^2 (row 0)
-    and minus its couplings (row 1), so it is a Z-matrix when
+    The off-diagonals of D A D, D = diag(s), are the band's row 0 (L's
+    -1/h^2) and minus its row 1 (L's couplings), so it is a Z-matrix when
     band[1] >= 0.  Then for x = |v| > 0 (floored at tiny) lambda_min >=
-    min_i (D L D x)_i / x_i (Collatz-Wielandt; Varga, Matrix Iterative
-    Analysis, ch. 2), with (D L D x)_i = L_ii x_i - sum_{j != i} |L_ij| x_j
+    min_i (D A D x)_i / x_i (Collatz-Wielandt; Varga, Matrix Iterative
+    Analysis, ch. 2), with (D A D x)_i = A_ii x_i - sum_{j != i} |A_ij| x_j
     read off the band in four shifted slices.  Each row is a sum of five
     products, rounded at most five times, so it is off by at most gamma_5
-    times its absolute term sum, 2 d_i x_i - (D L D x)_i with d = band[2]
+    times its absolute term sum, 2 d_i x_i - (D A D x)_i with d = band[2]
     (Higham, Accuracy and Stability, sec. 3.1); gamma_6 of its computed
-    value covers that, 4 smallest subnormals the underflow.  L is mirror
+    value covers that, 4 smallest subnormals the underflow.  A is mirror
     exact, so rows i and m-1-i have the same quotient: only the first
     h = len(v) are formed, from the band's first h + 2 columns, in x and
-    two reused buffers.
+    two reused buffers.  Row join's quotient is bounded at its own size,
+    before schur is taken off.
     """
     h, band = len(v), band[:, :len(v) + 2]
-    if np.any(band[1] < 0):     # D L D is not a Z-matrix
+    if np.any(band[1] < 0):     # D A D is not a Z-matrix
         return -math.inf
     fp = np.finfo(float)
     x = np.empty(h + 2)
@@ -464,36 +472,283 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray) -> float:
     err *= gamma6
     err += 4.0 * fp.smallest_subnormal
     np.divide(np.subtract(dldx, err, out=err), x, out=err)     # the quotients
+    if schur:       # its two roundings at its own size, and schur's subtraction
+        q = float(err[join])
+        err[join] = q - schur - 4.0 * fp.eps * (abs(q) + schur)
     low = float(np.min(err[:h]))
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 
-def _certified_eigenvalue(op: DiscreteOperator) -> float:
-    """lambda_min of op: inverse iteration with op.solve_odd from the box
-    mode s * cos(pi x / (2R)) until successive Rayleigh quotients differ by
-    < EIG_TOL * |value|, certified by _perron_lower_bound on L's band."""
-    s, mode = _odd_half(op, lambda x: np.cos(np.pi / (2.0 * op.grid.R) * x))
-    v = s * mode / np.linalg.norm(mode)
-    rho_prev = rho = None
-    for it in range(EIG_MAX_ITERS):
-        y = op.solve_odd(v)
-        ny = float(np.linalg.norm(y))
-        rho = float(y @ v) / (ny * ny)
-        v = y / ny
-        if it >= 3 and abs(rho - rho_prev) < EIG_TOL * abs(rho):
+def _angle(b: float, tau: float) -> float:
+    """t with tau = 4b sin^2(t/2) for tau > 0, or 4b sinh^2(t/2) for tau < 0."""
+    root = math.sqrt(abs(tau) / (4.0 * b))
+    return 2.0 * (math.asin(root) if tau > 0.0 else math.asinh(root))
+
+
+def _free_chain(n: int, b: float, tau: float) -> tuple[float, float]:
+    """(g, dg) of the free chain F of n nodes, 2b on its diagonal and -b
+    beside it, shifted by tau: g = b^2 e^T (F - tau)^-1 e, e the unit
+    vector of its last node, and dg = dg/dtau = b^2 |(F - tau)^-1 e|^2,
+    in closed form.  With tau = 4b sin^2(t/2), (F - tau)^-1 e has the
+    entries sin(k t) / (b sin((n+1) t)), k = 1..n, below F's first
+    eigenvalue 4b sin^2(pi / (2(n+1))), where (n+1) t < pi, and
+    sum_k sin^2(k t) = (2n+1)/4 - sin((2n+1) t) / (4 sin t); sinh for
+    tau < 0, in exponentials that do not overflow, and k / (b (n+1)) at
+    0.  At or past the first eigenvalue g is +inf."""
+    if tau > 0.0:
+        if tau >= 4.0 * b:
+            return math.inf, math.inf
+        t = _angle(b, tau)
+        s = math.sin((n + 1) * t)
+        if (n + 1) * t >= math.pi or s <= 0.0:
+            return math.inf, math.inf
+        return (b * math.sin(n * t) / s,
+                ((2 * n + 1) / 4.0 - math.sin((2 * n + 1) * t) / (4.0 * math.sin(t))) / (s * s))
+    if tau == 0.0:
+        return b * n / (n + 1), n * (2 * n + 1) / (6.0 * (n + 1))
+    t = _angle(b, tau)
+    e1 = -math.expm1(-2.0 * (n + 1) * t)
+    return (b * math.exp(-t) * -math.expm1(-2.0 * n * t) / e1,
+            (math.exp(-t) * -math.expm1(-2.0 * (2 * n + 1) * t) / (2.0 * math.sinh(t))
+             - (2 * n + 1) * math.exp(-2.0 * (n + 1) * t)) / (e1 * e1))
+
+
+def _free_response(n: int, b: float, tau: float) -> np.ndarray:
+    """b (F - tau)^-1 e of _free_chain at its nodes k = 1..n, positive
+    below F's first eigenvalue."""
+    k = np.arange(1, n + 1)
+    if tau == 0.0:
+        return k / (n + 1)
+    t = _angle(b, tau)
+    if tau > 0.0:
+        return np.sin(k * t) / math.sin((n + 1) * t)
+    return np.exp((k - (n + 1)) * t) * -np.expm1(-2.0 * t * k) / -math.expm1(-2.0 * (n + 1) * t)
+
+
+def _chain_end(diag: list, b: float, sigma: float) -> tuple[float, float, float]:
+    """(g, dg, d) of the chain with diagonal diag - sigma (a list) and -b
+    beside it, ending at its last node: its last pivot d, g = b^2 / d and
+    dg = b^2 |q|^2, q = (chain)^-1 e, e the unit vector of its last node.
+    The pivots p_k = (diag_k - sigma) - b^2 / p_(k-1) take three roundings
+    a node; q_n = 1 / d and q_k = q_(k+1) b / p_k (as operator1d._tail_first
+    forms q).  Scalar rows: the chains it serves are a few dozen nodes."""
+    if not diag:
+        return 0.0, 0.0, math.inf
+    b2, pivots, d = b * b, [], math.inf
+    for a in diag:
+        d = (a - sigma) - b2 / d
+        pivots.append(d)
+    q = 1.0 / d
+    total = q * q
+    for piv in reversed(pivots[:-1]):
+        q *= b / piv
+        total += q * q
+    return b2 / d, b2 * total, d
+
+
+def _contraction(a: float, b: float) -> tuple[float, float]:
+    """(r, d) for a chain with diagonal at least a > 2b and -b beside it:
+    its pivots are at least d = (a + sqrt(a^2 - 4b^2)) / 2, the fixed
+    point of p -> a - b^2/p, so a change in one pivot reaches the next
+    times at most r = (b/d)^2 < 1.  (1, 0) when a <= 2b."""
+    if not a > 2.0 * b:
+        return 1.0, 0.0
+    d = 0.5 * (a + math.sqrt((a - 2.0 * b) * (a + 2.0 * b)))
+    return (b / d) ** 2, d
+
+
+def _band_dot(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric matrix A of an upper band with two
+    superdiagonals; the entries of band[0, :2] and band[1, 0] are unused."""
+    y = band[2] * x
+    y[1:] += band[1, 1:] * x[:-1]
+    y[:-1] += band[1, 1:] * x[1:]
+    y[2:] += band[0, 2:] * x[:-2]
+    y[:-2] += band[0, 2:] * x[2:]
+    return y
+
+
+def _certified_eigenvalue(op: DiscreteOperator) -> tuple[float, float]:
+    """lambda_min of op and a rigorous lower bound on it, by Rayleigh
+    functional iteration on the Schur complement of the fold's chains.
+
+    With a = 2n the fold B's first core unknown (op.odd_core) and b =
+    1/h^2, B is its core band C, the dying chain D (u1 on the left, under
+    V2^2) joined to core position 0 and the free chain V (u2 on the left,
+    under V1^2 = 0, or a constant p) joined to core position 1, each by
+    -b.  B - sigma I is positive definite exactly when both chains are, at
+    sigma, and so is
+        S(sigma) = C - sigma I - g_D(sigma) e_0 e_0^T - g_V(sigma) e_1 e_1^T,
+    g = b^2 e^T (chain - sigma)^-1 e, e its end's unit vector (Haynsworth,
+    Linear Algebra Appl. 1 (1968) 73), and S' = -I - g_D' e_0 e_0^T -
+    g_V' e_1 e_1^T.  g_V and g_V' are in closed form (_free_chain).  D's
+    pivots contract a change by r per node (_contraction at its smallest
+    diagonal, below V's first eigenvalue, the pole), so its last J nodes,
+    r^J <= eps, give g_D and g_D' (_chain_end).
+
+    The iteration runs on the core alone, from the box mode s * cos(pi x /
+    (2R)) there.  Its first step is one of inverse iteration, u <-
+    S(shift)^-1 S'(shift) u at a shift where S is positive definite (0,
+    or below it), which leaves mostly the lambda_min eigenvector; the
+    next are Rayleigh functional iteration (Ruhe, SIAM J. Numer. Anal. 10
+    (1973) 674): u <- S(rho)^-1 S'(rho) u by one gbsv, rho the root of
+    u^T S(rho) u = 0, a Rayleigh quotient of B and so an upper bound on
+    lambda_min.  It stops at the first step that does not lower rho or
+    lowers it by at most eps^(1/3) |rho| (it converges cubically), or
+    raises NoConvergence after EIG_MAX_ITERS steps.
+
+    The lower bound is _perron_lower_bound's on B less D (Haynsworth
+    again, D - sigma being diagonally dominant), V's rows in natural order
+    before the core's, its Schur term at core row 0 bounded above at rho
+    (_dying_bound): for the vector of one more step of inverse iteration,
+    at ell = rho - delta / 8, extended over V by its exact response
+    (_free_response).  NoConvergence is raised unless it is within delta
+    of rho."""
+    a, cols, (dying, free) = op.odd_core()
+    n, b, core = a // 2, 1.0 / op.grid.h ** 2, fold(cols)
+    nc = core.shape[1]
+    p = float(free[0]) - 2.0 * b if n else 0.0
+    if n and np.any(free != free[0]):
+        raise ValueError("the fold's u2 chain is not free: its potential is not constant")
+    pole = p + 4.0 * b * math.sin(math.pi / (2 * (n + 1))) ** 2 if n else math.inf
+    r, _ = _contraction(float(np.min(dying, initial=math.inf)) - pole, b)
+    j = n if r >= 1.0 else min(n, math.ceil(math.log(np.finfo(float).eps) / math.log(r)))
+    tail = dying[n - j:].tolist()
+
+    @functools.lru_cache(maxsize=4)
+    def terms(sigma):
+        """(g_D, g_D', g_V, g_V') at sigma."""
+        if not n:
+            return 0.0, 0.0, 0.0, 0.0
+        g_d, dg_d, _ = _chain_end(tail, b, sigma)
+        return (g_d, dg_d) + _free_chain(n, b, sigma - p)
+
+    def root(u, x):
+        """The Rayleigh functional of u, the root of f(x) = u^T S(x) u,
+        from x.  f falls and is concave below the pole, so Newton's steps
+        fall towards the root from its right and overshoot it from its
+        left; a step that leaves the bracket halves it until a point right
+        of the root is found, and the first that leaves it after that ends
+        the search at that point, as does a step too small to move x."""
+        uu, ucu, u0, u1 = map(float, (u @ u, u @ _band_dot(core, u), u[0] ** 2, u[1] ** 2))
+        left, right, found = -math.inf, pole, False
+        while True:
+            g_d, dg_d, g_v, dg_v = terms(x)
+            fx, slope = ucu - x * uu - g_d * u0 - g_v * u1, uu + dg_d * u0 + dg_v * u1
+            if fx > 0.0:
+                left = x
+            else:
+                right, found = x, True
+            step = x + fx / slope
+            if step == x:
+                return x
+            if not left < step < right:
+                if found:
+                    return right
+                step = 0.5 * (left + right)
+            x = step
+
+    def shifted(sigma, rows):
+        """S(sigma) in upper (rows = 3) or general (rows = 5) band storage."""
+        s = np.zeros((rows, nc))
+        s[:3] = core
+        s[2] -= sigma
+        g_d, _, g_v, _ = terms(sigma)
+        s[2, :2] -= (g_d, g_v)
+        if rows == 5:
+            s[3, :-1], s[4, :-2] = core[1, 1:], core[0, 2:]
+        return s
+
+    def step(u, sigma, solve):
+        """S(sigma)^-1 S'(sigma) u, normalised, by solve."""
+        _, dg_d, _, dg_v = terms(sigma)
+        rhs = -u
+        rhs[:2] -= (dg_d * u[0], dg_v * u[1])
+        y = solve(rhs)
+        return y / np.linalg.norm(y)
+
+    signs = np.ones(nc)
+    signs[1::2] = -1.0
+    x = op.grid.interior[n:n + (nc + 1) // 2]
+    u = signs * np.repeat(np.cos(np.pi / (2.0 * op.grid.R) * x), 2)[:nc]
+    # a shift where S is positive definite: 0 (p, if below), else below it
+    # in doubling steps from the rounding level of the core's diagonal
+    shift, down = min(0.0, p), 64.0 * np.finfo(float).eps * float(np.max(core[2]))
+    while True:
+        try:
+            factor = pbtrf(shifted(shift, 3))
             break
-        rho_prev = rho
+        except np.linalg.LinAlgError:
+            shift, down = min(shift, 0.0) - down, 2.0 * down
+    u = step(u, shift, lambda v: pbtrs(factor, v))
+    rho = root(u, shift)
+    for _ in range(EIG_MAX_ITERS - 1):
+        try:
+            y = step(u, rho, lambda v: gbsv(2, 2, shifted(rho, 5), v))
+        except np.linalg.LinAlgError:       # S(rho) is singular: rho is lambda_min
+            break
+        rho_y = root(y, rho)
+        if not rho_y < rho:
+            break
+        # the iteration converges cubically: after a fall of f, the next
+        # is about f^3 / rho^2, less than a rounding of rho once f <=
+        # eps^(1/3) |rho|
+        u, rho, fell = y, rho_y, rho - rho_y
+        if fell <= np.finfo(float).eps ** (1.0 / 3.0) * abs(rho):
+            break
     else:
-        raise NoConvergence(
-            f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations", last_value=rho
-        )
-    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * np.max(op.odd_band[2]))
-    low = _perron_lower_bound(op.odd_band, v)
-    if not (0.0 < low and rho - low <= delta):
-        raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
-                            f"positive and within {delta:.3g} of {rho:.17g}",
+        raise NoConvergence(f"eigenvalue iteration hit {EIG_MAX_ITERS} iterations",
                             last_value=rho)
-    return rho
+    # the certificate's vector: one more step, from u with its signs made
+    # exact, at ell, where S is positive definite, so that diag(s) S(ell)
+    # diag(s) is a Stieltjes matrix with a nonnegative inverse: every entry
+    # comes out positive and accurate to round-off, however small, and
+    # every Collatz-Wielandt quotient is at least ell
+    delta = max(1e-6 * abs(rho), 64.0 * np.finfo(float).eps * float(np.max(core[2])))
+    ell = rho - delta / 8.0
+    try:
+        factor = pbtrf(shifted(ell, 3))
+    except np.linalg.LinAlgError:
+        raise NoConvergence(f"eigenvalue certificate failed: lambda_min is below "
+                            f"{ell:.17g}, under rho = {rho:.17g}", last_value=rho) from None
+    u = step(signs * np.abs(u), ell, lambda v: pbtrs(factor, v))
+    # V, then the core and its mirrors: B less D, but for the sign of V's
+    # links (+b on row 1, as a coupling), which a +-1 scaling of V's nodes
+    # gives and which leaves its eigenvalues
+    reduced = np.empty((3, n + nc + 2))
+    reduced[0, :n], reduced[1, :n], reduced[2, :n] = 0.0, b, free
+    reduced[:, n:] = cols
+    reduced[0, n] = 0.0         # the core's link to D
+    low = _perron_lower_bound(reduced, np.concatenate((u[1] * _free_response(n, b, ell - p), u)),
+                              n, _dying_bound(dying, tail, b, rho) if n else 0.0)
+    if not rho - low <= delta:
+        raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
+                            f"within {delta:.3g} of {rho:.17g}", last_value=rho)
+    return rho, low
+
+
+def _dying_bound(dying: np.ndarray, tail: list, b: float, sigma: float) -> float:
+    """An upper bound on D's Schur term g_D(sigma) = b^2 / d, d its last
+    pivot at sigma, from the pivot dt of its last J = len(tail) nodes
+    alone (_chain_end).  With r and d* from _contraction at its smallest
+    diagonal less sigma (d* a lower bound on each pivot), dt is at least
+    d, and at most r^J d* above it when J < n (the pivot before the cut
+    is at most b^2 / d* off); _chain_end's roundings, with that of b^2,
+    are at most eps times the node's diagonal less sigma, or b, each, and
+    contract by r per node.  +inf when D is not diagonally dominant at
+    sigma."""
+    eps = np.finfo(float).eps
+    r, d_low = _contraction((float(np.min(dying)) - sigma) * (1.0 - 4.0 * eps), b)
+    if r >= 1.0:
+        return math.inf
+    r = r * (1.0 + 8.0 * eps)
+    _, _, dt = _chain_end(tail, b, sigma)
+    off = 4.0 * eps * (max(tail) + abs(sigma)) / (1.0 - r)
+    if len(tail) < len(dying):
+        off += r ** len(tail) * d_low
+    if not dt - off > 0.0:
+        return math.inf
+    return b * b * (1.0 + 4.0 * eps) / ((dt - off) * (1.0 - 2.0 * eps))
 
 
 def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> float:
@@ -503,34 +758,36 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     omega^2: the iteration and its certificate run on L(0) (op itself at
     omega = 0, else built from op's omega-free potentials), and omega^2
     is added to the result and to a NoConvergence's last value.  shared,
-    when given, maps each Grid to its lambda_min(0), so that every
-    operator on that grid (of the same profile) reuses it.  If L(0) does
-    not factor, the iteration runs on L itself, unshared.
+    when given, maps each Grid on which L(0) is certified positive
+    definite to its lambda_min(0), so that every operator on that grid
+    (of the same profile) reuses it.
 
     As diag(s) L diag(s) is an irreducible Stieltjes matrix, s = (+1, -1,
     ...), the lambda_min eigenvector of L is diag(s) p with p > 0 unique
-    (Perron-Frobenius), hence J-odd: the iteration runs on L's fold on
-    J-odd vectors, from the box mode, which overlaps it well.  The
-    Rayleigh quotient rho bounds lambda_min above and the Collatz-Wielandt
-    bound of the final iterate, on L's own band, below; NoConvergence is
-    raised unless that bound is positive and within delta of rho.
+    (Perron-Frobenius), hence J-odd: _certified_eigenvalue finds it on
+    the fold's coupled core, its chains eliminated in closed form, with
+    no solve over the chains, and brackets lambda_min(0) between a
+    rigorous lower bound and rho.  SingularSystem is raised when rho +
+    omega^2 <= 0, as L is then not positive definite, NoConvergence when
+    the bracket holds 0 or is wider than delta.
     """
     w2 = op.w2
     if shared is not None and op.grid in shared:
         return shared[op.grid] + w2
     op0 = op if w2 == 0.0 else DiscreteOperator(op.grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
     try:
-        rho0 = _certified_eigenvalue(op0)
-    except SingularSystem:      # L(0) is not positive definite
-        if op0 is op:
-            raise
-        return _certified_eigenvalue(op)
+        rho0, low0 = _certified_eigenvalue(op0)
     except NoConvergence as exc:
         exc.last_value += w2
         raise
-    if shared is not None:
+    if shared is not None and low0 > 0.0:
         shared[op.grid] = rho0
-    return rho0 + w2
+    if low0 + w2 > 0.0:
+        return rho0 + w2
+    if rho0 + w2 <= 0.0:
+        raise SingularSystem(f"L is not positive definite: lambda_min <= {rho0 + w2:.3e}")
+    raise NoConvergence(f"eigenvalue certificate failed: lower bound {low0 + w2:.17g} "
+                        f"is not positive", last_value=rho0 + w2)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 `pttrf` and `pttrs` factor and solve the uncoupled tails of the
 operator and of its reflection-odd fold (symmetric tridiagonals),
-`pbtrf` and `pbtrs` the coupled cores of both, and `gbsv` gives the
-profile's Newton step and, with no subdiagonal, the back substitutions
-of constrained K, which give the diagonal and first off-diagonal of the
-operator's core's inverse.  The
-symbols come from the LAPACK that numpy has already loaded: opening
+`pbtrf` and `pbtrs` the coupled cores of both and lambda_min's shifted
+Schur complement of the fold's core where it is positive definite, and
+`gbsv` gives the profile's Newton step, lambda_min's Rayleigh
+functional steps (that Schur complement shifted past lambda_min) and,
+with no subdiagonal, the back substitutions of constrained K, which
+give the diagonal and first off-diagonal of the operator's core's
+inverse.  The symbols come from the LAPACK that numpy has already loaded: opening
 numpy's linalg extension with ctypes resolves them through that
 module's own dependency, so no second LAPACK is imported.  On the numpy
 wheels that is scipy-openblas with 64-bit integers and names such as
@@ -99,29 +101,45 @@ _SPELLINGS = (
 def _bind(routine: str, signature: str, failure: str):
     """A caller of the routine, and its integer type.  signature lists
     the arguments before INFO: c a character, i an integer (passed as a
-    Python int), d a float64 array in Fortran order, p an integer array.
-    The caller appends INFO and the hidden character lengths, and raises
-    LinAlgError with failure.format(info) when INFO > 0."""
+    Python int), d a float64 array in Fortran order, p an integer array
+    (both as the callers below make them: they are not checked again).
+    Each call puts its integers and INFO in one ctypes array and passes
+    every pointer as an address, which costs a fraction of ctypes'
+    per-argument ndpointer checks and byref; it appends the hidden
+    character lengths, and raises LinAlgError with failure.format(info)
+    when INFO > 0."""
     for pattern, int_t in _SPELLINGS:
         fn = getattr(LIBRARY, pattern.format(routine), None)
         if fn is None:
             continue
-        kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(int_t),
-                 "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
-                 "p": np.ctypeslib.ndpointer(int_t, flags="C_CONTIGUOUS")}
-        lengths = (1,) * signature.count("c")
-        fn.argtypes = ([kinds[k] for k in signature] + [kinds["i"]]
-                       + [ctypes.c_size_t] * len(lengths))
+        lengths = [1] * signature.count("c")
+        fn.argtypes = ([ctypes.c_char_p if k == "c" else ctypes.c_void_p for k in signature]
+                       + [ctypes.c_void_p] + [ctypes.c_size_t] * len(lengths))
         fn.restype = None
+        size, ints_t = ctypes.sizeof(int_t), int_t * (signature.count("i") + 1)
+        take = [i for i, k in enumerate(signature) if k == "i"]
+        arrays = [i for i, k in enumerate(signature) if k in "dp"]
+        chars = [i for i, k in enumerate(signature) if k == "c"]
+        # each argument's offset into the integer array (INFO last); the
+        # others' are replaced by the argument itself
+        offsets = [0] * len(signature) + [len(take) * size]
+        for slot, i in enumerate(take):
+            offsets[i] = slot * size
 
         def call(*args):
-            info = int_t()
-            fn(*(ctypes.byref(int_t(a)) if k == "i" else a for k, a in zip(signature, args)),
-               ctypes.byref(info), *lengths)
-            if info.value > 0:
-                raise np.linalg.LinAlgError(failure.format(info.value))
-            if info.value < 0:
-                raise ValueError(f"illegal value in argument {-info.value} of {routine}")
+            ints = ints_t(*[args[i] for i in take])
+            base = ctypes.addressof(ints)
+            argv = [base + off for off in offsets]
+            for i in arrays:
+                argv[i] = args[i].ctypes.data
+            for i in chars:
+                argv[i] = args[i]
+            fn(*argv, *lengths)
+            info = ints[-1]
+            if info > 0:
+                raise np.linalg.LinAlgError(failure.format(info))
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of {routine}")
 
         return call, int_t
     raise ImportError(f"the LAPACK linked by {_umath_linalg.__file__} exports no {routine}")

@@ -20,7 +20,9 @@ the left and u1 on the right, where L is the free chain
 size does not grow with R, and every general solve and constrained K
 use it.  The potentials are mirror exact, so on reflection-odd vectors
 L is a half-size band, the fold, whose tails are both chains at its
-left end and whose core is the small coupled one.
+left end and whose core is the small coupled one: plain K solves with
+the fold's factorization, and lambda_min reads its core and chains
+(odd_core) without factoring it.
 """
 
 from __future__ import annotations
@@ -139,11 +141,6 @@ class DiscreteOperator:
         """Upper band storage of L, built on first use."""
         return self._band_columns(0, self.n_unknowns)
 
-    @cached_property
-    def odd_band(self) -> np.ndarray:
-        """The band's first m/2 + 2 columns, all that the J-odd path reads."""
-        return self._band_columns(0, self.n_unknowns // 2 + 2)
-
     def _band_columns(self, lo: int, hi: int) -> np.ndarray:
         """Columns lo..hi-1 of the band, lo even."""
         j = lo // 2
@@ -198,37 +195,43 @@ class DiscreteOperator:
         """The diagonal entries of L over a component's potential pot."""
         return 2.0 / self.grid.h ** 2 + (pot + self.w2)
 
-    def odd_factorization(self) -> TailFirst:
-        """The factorization, computed once, of L on J-odd vectors [a; -a
-        reversed], J the reversal of the interleaved unknowns (x -> -x with
-        u1 <-> u2), which commutes with L when its potentials are mirror
-        exact (else ValueError).  There L is the fold B, the band's first
-        m/2 columns less the two entries linking the last one across the
-        middle, its tails the uncoupled u1 and u2 from the left end.
+    def odd_core(self) -> OddCore:
+        """L on J-odd vectors [a; -a reversed], J the reversal of the
+        interleaved unknowns (x -> -x with u1 <-> u2), which commutes with
+        L when its potentials are mirror exact (else ValueError): the fold
+        B, the band's first m/2 columns less the two entries linking the
+        last one across the middle (fold(band)).  B's unknowns before its
+        coupled core's first, start, are its two chains, u1 (slice(0,
+        start, 2)) and u2 (slice(1, start, 2)) over the uncoupled leading
+        nodes, which meet the core at its positions 0 and 1.
 
         B alone decides whether L is positive definite, when the coupling
         is nonnegative (else SegkernelError): with s = (+1, -1, ...),
         diag(s) L diag(s) is then an irreducible Z-matrix, so an
         eigenvector of lambda_min(L) is diag(s) p with p > 0 unique
-        (Perron-Frobenius), hence J-odd, and lambda_min(B) = lambda_min(L).
-        So SingularSystem means L is not positive definite, and the
-        PIVOT_TOL rule reads B's pivots."""
+        (Perron-Frobenius), hence J-odd, and lambda_min(B) = lambda_min(L)."""
+        if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
+                and np.array_equal(self.coup, self.coup[::-1])):
+            raise ValueError("potentials not mirror exact: L does not commute with J")
+        if np.any(self.coup < 0):
+            raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+        h = self.n_unknowns // 2
+        coupled = self.coup[:(h + 1) // 2] != 0.0
+        # the core starts at the first coupled node and holds h-2 and h-1
+        n = min(int(np.argmax(coupled)) if coupled.any() else h, h // 2 - 1)
+        return OddCore(2 * n, self._band_columns(2 * n, h + 2),
+                       (self._diagonal(self.pot1_0[:n]), self._diagonal(self.pot2_0[:n])))
+
+    def odd_factorization(self) -> TailFirst:
+        """The factorization, computed once, of the fold B of odd_core(),
+        its tails B's two chains.  SingularSystem means L is not positive
+        definite, and the PIVOT_TOL rule reads B's pivots."""
         if self._odd is None:
-            if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
-                    and np.array_equal(self.coup, self.coup[::-1])):
-                raise ValueError("potentials not mirror exact: L does not commute with J")
-            if np.any(self.coup < 0):
-                raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
-            band, h = self.odd_band, self.n_unknowns // 2
-            coupled = np.flatnonzero(self.coup[:(h + 1) // 2])
-            # the core starts at the first coupled node and holds h-2 and h-1
-            a = 2 * min(int(coupled[0]) if coupled.size else h, h // 2 - 1)
-            core = band[:, a:h].copy()
-            core[1:, -1] -= band[:2, h]     # the fold
-            chains = slice(0, a, 2), slice(1, a, 2)
+            a, band, tails = self.odd_core()
+            core = fold(band)
             self._odd, self.smallest_pivot = _tail_first(
-                chains, [band[2, s] for s in chains], slice(a, h), core, (0, 1),
-                -1.0 / self.grid.h ** 2)
+                (slice(0, a, 2), slice(1, a, 2)), tails, slice(a, a + core.shape[1]), core,
+                (0, 1), -1.0 / self.grid.h ** 2)
         return self._odd
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
@@ -257,6 +260,23 @@ class DiscreteOperator:
             self.grid.h ** 2, self.w2, (self.pot1_0, self.pot2_0, self.coup),
             u.comp1, u.comp2)
         return out
+
+
+class OddCore(NamedTuple):
+    """The fold's coupled core and chains, as DiscreteOperator.odd_core
+    gives them."""
+
+    start: int              # the core's first unknown, 2 n for chains of n nodes
+    band: np.ndarray        # the band's columns start..m/2+1: the core's, then their mirrors'
+    tails: tuple            # the diagonals of the chains u1 and u2, in order towards the core
+
+
+def fold(band: np.ndarray) -> np.ndarray:
+    """The fold's core band, a copy, from OddCore.band: its last column
+    less its entries linking across the middle."""
+    core = band[:, :-2].copy()
+    core[1:, -1] -= band[:2, -2]
+    return core
 
 
 class TailFirst(NamedTuple):
@@ -312,21 +332,32 @@ def _tail_first(chains, tails, core, band, joins, link):
 
 def _solve(f: TailFirst, rhs, m: int) -> np.ndarray:
     """Solve with the tail-first factorization f of m unknowns; rhs may
-    be a matrix.  One tail solve t; the core solve, with link * t_end
-    taken off at each join; and the tails back-corrected in place by
-    t_chain -= q_chain * link * x_join."""
+    be a matrix.  One tail solve t, in place in a Fortran-order stack of
+    the chains; the core solve, with link * t_end taken off at each join
+    (subtract.at only where two chains share a join, as on a core of one
+    node); and the chains back-corrected in place by t_chain -= q_chain *
+    link * x_join, a column at a time, and scattered into x."""
     b = np.asarray(rhs, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != m:
         raise ValueError(f"rhs of shape {b.shape} does not fit {m} unknowns")
     cols = b.reshape(len(b), -1)
-    t = pttrs(f.d, f.e, np.concatenate([cols[:0]] + [cols[s] for s in f.chains]))
+    t = np.empty((len(f.d), cols.shape[1]), order="F")
+    starts = f.ends + 1 - np.array([len(q) for q in f.q], dtype=int)
+    for s, lo, hi in zip(f.chains, starts, f.ends + 1):
+        t[lo:hi] = cols[s]
+    pttrs(f.d, f.e, t)
     core = cols[f.core].copy()
-    np.subtract.at(core, f.joins, f.link * t[f.ends])
+    if len(set(f.joins.tolist())) == len(f.joins):
+        core[f.joins] -= f.link * t[f.ends]
+    else:
+        np.subtract.at(core, f.joins, f.link * t[f.ends])
     x = np.empty(cols.shape)
     x[f.core] = core = pbtrs(f.core_factor, core)
-    for s, part, q, j in zip(f.chains, np.split(t, f.ends[:-1] + 1), f.q, f.joins):
-        part -= q * (f.link * core[j])
-        x[s] = part
+    for c, (tc, xc) in enumerate(zip(t.T, x.T)):       # contiguous tail columns
+        for s, lo, hi, q, j in zip(f.chains, starts, f.ends + 1, f.q, f.joins):
+            part = tc[lo:hi]
+            part -= q[:, 0] * (f.link * core[j, c])
+            xc[s] = part
     return x.reshape(b.shape)
 
 

@@ -50,3 +50,33 @@ def residual_longdouble(band, x, b):
     r[2:] -= a[0, 2:] * x[:-2]
     r[:-2] -= a[0, 2:] * x[2:]
     return r
+
+
+EIG_TOL = 1e-13     # full_system_eigenvalue's stop: successive quotients this close
+
+
+def full_system_eigenvalue(op, solve=None):
+    """lambda_min by inverse iteration on all of L from s / sqrt(m),
+    stopped when successive quotients differ by less than EIG_TOL;
+    solve defaults to op's."""
+    solve = solve or op.solve_interior
+    m = op.n_unknowns
+    v = np.tile([1.0, -1.0], m // 2) / np.sqrt(m)
+    rho_prev = None
+    for it in range(100):
+        y = solve(v)
+        rho = float(y @ v) / float(y @ y)
+        v = (y / np.linalg.norm(y)).astype(float)
+        if it >= 3 and abs(rho - rho_prev) < EIG_TOL * rho:
+            return rho
+        rho_prev = rho
+    raise AssertionError("no convergence")
+
+
+def refined_solve(op, b):
+    """op.solve_interior(b) refined by three steps x += solve(b - L x),
+    the residual in np.longdouble, as an np.longdouble vector."""
+    x = op.solve_interior(b).astype(np.longdouble)
+    for _ in range(3):
+        x += op.solve_interior(residual_longdouble(op.band, x, b).astype(float))
+    return x

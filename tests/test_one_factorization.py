@@ -59,7 +59,8 @@ def test_fold_refuses_indefinite_l(table, r_val, n):
 def test_one_factor_per_matrix(table, monkeypatch):
     # lambda(0), plain and constrained exact K, the estimate and a solve
     # on one omega = 0 operator: one pbtrf of L's coupled core, one of
-    # the fold's core
+    # the fold's core (plain K's); lambda(0) factors neither, only shifted
+    # Schur complements of the fold's core
     grid = Grid(20.0, 201)
     op = assemble(table, 0.0, grid)
     shapes = []
@@ -71,6 +72,7 @@ def test_one_factor_per_matrix(table, monkeypatch):
     monkeypatch.setattr(operator1d, "pbtrf", counting)
     ctx, elements = NormContext(0.5), [kernel_basis(table, grid).z1]
     smallest_eigenvalue(op)
+    assert shapes == [] and op._odd is None and op._factor is None
     inv_constant_exact(op, ctx)
     inv_constant_exact(op, ctx, orth_elements=elements)
     inv_constant_estimate(op, ctx, orth_elements=elements)

@@ -7,18 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segkernel.errors import SegkernelError, SingularSystem
-from segkernel.invertibility import (
-    EIG_TOL,
-    _interior_weights,
-    inv_constant_exact,
-    smallest_eigenvalue,
-)
+from segkernel.invertibility import _interior_weights, inv_constant_exact, smallest_eigenvalue
 from segkernel.lapack import pbtrf, pbtrs
 from segkernel.norms import NormContext
 from segkernel import operator1d
 from segkernel.operator1d import DiscreteOperator, Grid, _potentials, assemble
 from segkernel.profile import eval_profile
-from oracles import band_to_dense, residual_longdouble
+from oracles import band_to_dense, full_system_eigenvalue, refined_solve
 
 GRIDS = [(10.0, 201), (10.0, 200), (40.0, 3201), (40.0, 3200), (800.0, 64000)]
 
@@ -26,32 +21,6 @@ GRIDS = [(10.0, 201), (10.0, 200), (40.0, 3201), (40.0, 3200), (800.0, 64000)]
 def odd(a):
     """The J-odd vector [a; -a reversed], a a vector or columns."""
     return np.concatenate((a, -a[::-1]))
-
-
-def full_system_eigenvalue(op, solve=None):
-    """lambda_min by inverse iteration on all of L from s / sqrt(m),
-    stopped as smallest_eigenvalue stops; solve defaults to op's."""
-    solve = solve or op.solve_interior
-    m = op.n_unknowns
-    v = np.tile([1.0, -1.0], m // 2) / np.sqrt(m)
-    rho_prev = None
-    for it in range(100):
-        y = solve(v)
-        rho = float(y @ v) / float(y @ y)
-        v = (y / np.linalg.norm(y)).astype(float)
-        if it >= 3 and abs(rho - rho_prev) < EIG_TOL * rho:
-            return rho
-        rho_prev = rho
-    raise AssertionError("no convergence")
-
-
-def refined_solve(op, b):
-    """op.solve_interior(b) refined by three steps x += solve(b - L x),
-    the residual in np.longdouble, as an np.longdouble vector."""
-    x = op.solve_interior(b).astype(np.longdouble)
-    for _ in range(3):
-        x += op.solve_interior(residual_longdouble(op.band, x, b).astype(float))
-    return x
 
 
 @pytest.mark.parametrize("r_val, n", GRIDS, ids=lambda v: str(v))
