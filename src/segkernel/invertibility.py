@@ -8,12 +8,18 @@ sums of the inverse.  With s = (+1, -1, +1, ...) on the interleaved
 unknowns, diag(s) L diag(s) has off-diagonals -1/h^2 and -2 V1 V2 <= 0
 and is positive definite, hence a Stieltjes matrix with an entrywise
 nonnegative inverse; so |L^-1| = diag(s) L^-1 diag(s) and plain K is
-max(s * solve(s * w)), one banded solve, of the operator's half-size
-fold on reflection-odd vectors, such as s * w.  Under orthogonality
-constraints, imposed by norms.Projector on the interleaved unknowns, the
-row sums of L^-1 composed with the projector are summed on the coupled
-core, the Schur complement of L's four tail chains, eliminated exactly
-first, from its Cholesky factor, which also solves the carriers: over
+max(s * solve(s * w)), one solve of the operator's half-size fold on
+reflection-odd vectors, such as s * w.  That solve runs on the fold's
+coupled core, whose size does not grow with R: its two chains are
+eliminated exactly, the free one in closed form and the dying one from
+its last nodes, the core's Schur complement is solved once and refined
+once with an np.longdouble residual, and the chains' rows are certified
+below K by the maximum principle, or solved where no bound holds.
+Under orthogonality constraints, imposed by norms.Projector on the
+interleaved unknowns, the row sums of L^-1 composed with the projector
+are summed on the coupled core, the Schur complement of L's four tail
+chains, eliminated exactly first, from its Cholesky factor, which also
+solves the carriers: over
 the upper triangle, in tiles of rows and three steps: the diagonal and
 first off-diagonal of the inverse (Takahashi selected inversion in
 scalar rows, banded back substitution in segments); the triangle inside
@@ -38,9 +44,10 @@ of the fold's coupled core's Schur complement S(sigma), found by one
 step of inverse iteration and then Rayleigh functional iteration on the
 core alone, from the box mode s * cos(pi x / (2R)); no solve runs over
 the chains.  It is certified from below by the Collatz-Wielandt bound of
-the Z-matrix diag(s) B diag(s), B the fold less its dying chain, read
-off the band with its rounding bounded, run once per grid: a sweep
-shares lambda_min(0) between the points on one grid.
+the Z-matrix diag(s) B diag(s), B the fold less its dying chain, at the
+free chain's exact response, whose rows then need no evaluation, read
+off the core's band with its rounding bounded, run once per grid: a
+sweep shares lambda_min(0) between the points on one grid.
 """
 
 from __future__ import annotations
@@ -55,9 +62,9 @@ import numpy as np
 from .chains import living_rows
 from .counterexample import lower_bound_from_counterexample
 from .errors import BudgetExceeded, NoConvergence, SegkernelError, SingularSystem
-from .lapack import gbsv, pbtrf, pbtrs
+from .lapack import gbsv, pbtrf, pbtrs, pttrf, pttrs
 from .norms import NormContext, Projector, cosh_weights, kernel_basis, log_cosh
-from .operator1d import DiscreteOperator, Grid, assemble, fold
+from .operator1d import DiscreteOperator, Grid, _factored, _smallest_pivot, assemble, fold
 from .profile import ProfileTable
 
 # constrained K: N = 160 R + 1 up to R = 800.  Its tracemalloc peak, L factored,
@@ -73,13 +80,6 @@ EIG_MAX_ITERS = 100          # a guard: lambda_min takes 2 or 3 steps on the fol
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
     """1/cosh(theta x) per interior unknown, interleaved pairwise."""
     return np.repeat(cosh_weights(op.grid.interior, ctx.theta), 2)
-
-
-def _odd_half(op: DiscreteOperator, per_node):
-    """s = (+1, -1, ...) and per_node(x) on the first m/2 unknowns."""
-    h = op.n_unknowns // 2
-    s = np.tile([1.0, -1.0], (h + 1) // 2)[:h]
-    return s, np.repeat(per_node(op.grid.interior[:(h + 1) // 2]), 2)[:h]
 
 
 def _shifted(x, s, lo, end):
@@ -199,18 +199,133 @@ def inv_constant_exact(
     """Exact discrete K: the infinity norm of solve composed with the
     weight map (and with the orthogonality projector, when given).
 
-    Plain K is one solve: with s = (+1, -1, +1, ...) on the interleaved
+    Plain K is _plain_k: with s = (+1, -1, +1, ...) on the interleaved
     unknowns, |L^-1| = diag(s) L^-1 diag(s), so the weighted absolute
-    row sums are s * solve(s * w); s * w is J-odd, so that is one
-    op.solve_odd, the max over the first half of the rows (the fold
-    refuses negative coupling, where the identity fails).  Constrained K
-    is the largest of _constrained_row_sums; the size guard applies to
-    it only.
+    row sums are s * solve(s * w), and s * w is J-odd, so that is the
+    fold's solve, on its coupled core (which refuses negative coupling,
+    where the identity fails).  Constrained K is the largest of
+    _constrained_row_sums; the size guard applies to it only.
     """
     if not orth_elements:
-        s, w = _odd_half(op, lambda x: cosh_weights(x, ctx.theta))
-        return float(np.max(s * op.solve_odd(s * w)))
+        return _plain_k(op, ctx.theta)
     return float(np.max(_constrained_row_sums(op, ctx, orth_elements)))
+
+
+def _plain_k(op: DiscreteOperator, theta: float) -> float:
+    """Plain K, max(u) for u = diag(s) B^-1 diag(s) w on the fold B of
+    op.odd_core(), with the fold's two chains eliminated exactly and one
+    solve on its coupled core.  diag(s) B diag(s) is a Z-matrix with a
+    nonnegative inverse, so u >= 0.  With b = 1/h^2 and n chain nodes, B
+    is the core band C (built at omega, as the band rounds it), the dying
+    chain D joined to core position 0 and the free chain V (2b + p on its
+    diagonal, p = V1^2 + omega^2) joined to position 1, each by -b.  Each
+    chain X meets the rest only through its end's link, so
+    (Haynsworth, Linear Algebra Appl. 1 (1968) 73) the core solves
+        S u_C = w_C + b (q_D . w_D) e_0 + b (q_V . w_V) e_1,
+        S = C - g_D e_0 e_0^T - g_V e_1 e_1^T,
+    q = X^-1 e_end, g = b^2 q_end, with diag(s) taken on S:
+    - V: g_V and b q_V in closed form (_free_chain, _free_response), the
+      sum over its last c nodes only.  b q_V <= 1 rises towards the core
+      and w <= 2 exp(-theta |x|) falls away from it, while w >=
+      exp(-theta |x|), so the nodes past the cut add at most 2r / (1 - r)
+      <= 4r of the sum over the last c, r = exp(-theta c h); c =
+      ceil(ln(4 / eps) / (theta h)) makes that at most eps (3,000 nodes
+      at theta = 0.5, h = 1/40, whatever R is).
+    - D: its diagonal is at least d_min > 2b, so its pivots are at least
+      d* (_contraction) and q falls by at least rho = b / d* per node
+      from the end: its last J nodes, rho^J <= eps (1 - rho), give g_D
+      and q_D . w_D (w falls away from the core) to eps, from pivots in
+      scalar rows.  J = n when D is not diagonally dominant.
+    S is factored by pbtrf and solved by pbtrs with one step of
+    refinement, u += S^-1 (rhs - S u), the residual in np.longdouble:
+    the float64 solve is off by the conditioning of L(0) near lambda(0)
+    (7e-10 relative at R = 800, omega = 0), the refined one by ~1e-12.
+    Where np.longdouble is float64 the step is fixed-precision
+    refinement, which mends the backward error, not that.
+
+    K is the largest of u over the core and the chains' rows, which come
+    from u's values at the joins, u_0 and u_1, by the maximum principle
+    of the chains (u >= 0, X u_X = w_X + b u_join e_end):
+    - D: u <= max(u_0, max w / (diag - 2b)) <= max(u_0, w_end / (d_min - 2b));
+    - V, at p > 0: u <= max(u_1, w_end / p);
+    - V, at p >= 0: V^-1 <= F^-1 entrywise, F = V - p I, and
+      F^-1 e_n = k / (b (n+1)) at node k = 1..n, so u is below the
+      concave v = F^-1 (w + b u_1 e_n) with v_(n+1) = u_1, which rises
+      throughout, so that u <= u_1, where v_n <= u_1, i.e. where
+      sum_k k w_k <= b u_1 (the sum over the last c nodes, times 1 +
+      eps for the rest, as above).
+    A bound is compared with K as computed: one off by its roundings can
+    only hide a chain row within those roundings of K.  A chain no bound
+    certifies has its rows solved (_chain_max): all of D's, and V's last
+    c nodes with the rest eliminated in closed form, its part of w
+    dropped (eps of the sum, as above), so that its rows rise to the cut.
+
+    SingularSystem where S does not factor, a chain is not positive
+    definite, or the smallest pivot (S's U_ii^2, V's last b^2 / g_V, D's
+    last J) is below PIVOT_TOL times the largest diagonal of B; no
+    operator1d factorization is made and smallest_pivot is left as it is.
+    """
+    a, _, dying, (d_lo, d_hi), v_pot = op.odd_core()
+    n, b, eps = a // 2, 1.0 / op.grid.h ** 2, float(np.finfo(float).eps)
+    band = fold(op._band_columns(a, op.n_unknowns // 2 + 2))
+    nc = band.shape[1]
+    band[1] = -band[1]          # diag(s) S diag(s): its couplings negated
+    x = op.grid.interior
+    rhs = np.repeat(cosh_weights(x[n:n + (nc + 1) // 2], theta), 2)[:nc]
+    largest, chains = float(np.max(band[2])), math.inf
+    if n:
+        a_v, d_min = op._diagonal(v_pot), op._diagonal(d_lo)
+        p = a_v - 2.0 * b
+        rho = math.sqrt(_contraction(d_min, b)[0])
+        j = n if rho >= 1.0 else min(n, math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)))
+        c = min(n, math.ceil(math.log(4.0 / eps) / (theta * op.grid.h)))
+        w = cosh_weights(x[n - max(c, j):n], theta)        # the chains' last nodes
+        piv = np.array(_pivots(op._diagonal(dying[n - j:]).tolist(), b))
+        g_v = _free_chain(n, b, -p)[0]
+        largest = max(largest, op._diagonal(d_hi), a_v)
+        chains = min(float(np.min(piv)), b * b / g_v)
+        _smallest_pivot(chains, largest)        # a chain that is not positive definite
+        # b q_D: b / d_end at the end, times b / p_k per node back from it
+        rhs[0] += np.cumprod(b / piv[::-1])[::-1] @ w[-j:]
+        rhs[1] += _free_response(n, b, -p, n - c) @ w[-c:]
+        band[2, :2] -= (b * b / piv[-1], g_v)
+    factor = _factored(pbtrf, band)
+    _smallest_pivot(min(chains, float(np.min(factor[2] ** 2))), largest)
+    u = pbtrs(factor, rhs)
+    u += pbtrs(factor, _residual(band, u, rhs))
+    k = float(np.max(u))
+    if not n:
+        return k
+    if not w[-1] <= k * (d_min - 2.0 * b):
+        k = max(k, _chain_max(op._diagonal(dying), b, cosh_weights(x[:n], theta), u[0]))
+    if not (w[-1] <= k * p
+            or p >= 0.0 and np.arange(n - c + 1, n + 1) @ w[-c:] * (1.0 + eps) <= b * u[1]):
+        d = np.full(c, a_v)
+        d[0] -= _free_chain(n - c, b, -p)[0]
+        k = max(k, _chain_max(d, b, w[-c:], u[1]))
+    return k
+
+
+def _residual(band: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - A x in np.longdouble, rounded to float64, A the symmetric
+    matrix of an upper band with two superdiagonals (_band_dot's)."""
+    a, x = band.astype(np.longdouble), x.astype(np.longdouble)
+    r = rhs - a[2] * x
+    r[1:] -= a[1, 1:] * x[:-1]
+    r[:-1] -= a[1, 1:] * x[1:]
+    r[2:] -= a[0, 2:] * x[:-2]
+    r[:-2] -= a[0, 2:] * x[2:]
+    return r.astype(float)
+
+
+def _chain_max(diag: np.ndarray, b: float, w: np.ndarray, join: float) -> float:
+    """The largest entry of the solution of the chain with diagonal diag
+    and -b beside it, at w plus b join on its last node: one pttrf and
+    one pttrs (SingularSystem when the chain is not positive definite)."""
+    d, e = _factored(pttrf, np.array(diag, dtype=float), np.full(len(diag) - 1, -b))
+    v = np.array(w, dtype=float)
+    v[-1] += b * join
+    return float(np.max(pttrs(d, e, v)))
 
 
 def _constrained_row_sums(op: DiscreteOperator, ctx: NormContext, orth_elements) -> np.ndarray:
@@ -432,10 +547,12 @@ def inv_constant_estimate(
     return inv_constant_exact(op, ctx, orth_elements)
 
 
-def _perron_lower_bound(band: np.ndarray, v: np.ndarray, join: int = 0,
-                        schur: float = 0.0) -> float:
+def _perron_lower_bound(band: np.ndarray, v: np.ndarray, schur=(),
+                        known: float = math.inf) -> float:
     """Rigorous lower bound on lambda_min of the symmetric matrix A of
-    band from any [v; -v reversed], less schur on A's diagonal at join.
+    band from any [v; -v reversed], less schur[j] on A's diagonal at each
+    row j, and with further rows, outside the band, whose quotients are
+    known to be at least known.
 
     The off-diagonals of D A D, D = diag(s), are the band's row 0 (L's
     -1/h^2) and minus its row 1 (L's couplings), so it is a Z-matrix when
@@ -449,8 +566,8 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray, join: int = 0,
     value covers that, 4 smallest subnormals the underflow.  A is mirror
     exact, so rows i and m-1-i have the same quotient: only the first
     h = len(v) are formed, from the band's first h + 2 columns, in x and
-    two reused buffers.  Row join's quotient is bounded at its own size,
-    before schur is taken off.
+    two reused buffers.  Row j's quotient is bounded at its own size,
+    before schur[j] is taken off.
     """
     h, band = len(v), band[:, :len(v) + 2]
     if np.any(band[1] < 0):     # D A D is not a Z-matrix
@@ -472,10 +589,10 @@ def _perron_lower_bound(band: np.ndarray, v: np.ndarray, join: int = 0,
     err *= gamma6
     err += 4.0 * fp.smallest_subnormal
     np.divide(np.subtract(dldx, err, out=err), x, out=err)     # the quotients
-    if schur:       # its two roundings at its own size, and schur's subtraction
-        q = float(err[join])
-        err[join] = q - schur - 4.0 * fp.eps * (abs(q) + schur)
-    low = float(np.min(err[:h]))
+    for j, g in enumerate(schur):   # its two roundings at its own size, and g's subtraction
+        q = float(err[j])
+        err[j] = q - g - 4.0 * fp.eps * (abs(q) + g)
+    low = min(float(np.min(err[:h])), known)
     return low - 3.0 * fp.eps * abs(low)      # the quotients' two roundings
 
 
@@ -513,10 +630,10 @@ def _free_chain(n: int, b: float, tau: float) -> tuple[float, float]:
              - (2 * n + 1) * math.exp(-2.0 * (n + 1) * t)) / (e1 * e1))
 
 
-def _free_response(n: int, b: float, tau: float) -> np.ndarray:
-    """b (F - tau)^-1 e of _free_chain at its nodes k = 1..n, positive
+def _free_response(n: int, b: float, tau: float, lo: int = 0) -> np.ndarray:
+    """b (F - tau)^-1 e of _free_chain at its nodes k = lo+1..n, positive
     below F's first eigenvalue."""
-    k = np.arange(1, n + 1)
+    k = np.arange(lo + 1, n + 1)
     if tau == 0.0:
         return k / (n + 1)
     t = _angle(b, tau)
@@ -525,25 +642,36 @@ def _free_response(n: int, b: float, tau: float) -> np.ndarray:
     return np.exp((k - (n + 1)) * t) * -np.expm1(-2.0 * t * k) / -math.expm1(-2.0 * (n + 1) * t)
 
 
-def _chain_end(diag: list, b: float, sigma: float) -> tuple[float, float, float]:
-    """(g, dg, d) of the chain with diagonal diag - sigma (a list) and -b
-    beside it, ending at its last node: its last pivot d, g = b^2 / d and
-    dg = b^2 |q|^2, q = (chain)^-1 e, e the unit vector of its last node.
-    The pivots p_k = (diag_k - sigma) - b^2 / p_(k-1) take three roundings
-    a node; q_n = 1 / d and q_k = q_(k+1) b / p_k (as operator1d._tail_first
-    forms q).  Scalar rows: the chains it serves are a few dozen nodes."""
-    if not diag:
-        return 0.0, 0.0, math.inf
+def _pivots(diag: list, b: float, sigma: float = 0.0) -> list:
+    """The pivots p_k = (diag_k - sigma) - b^2 / p_(k-1) of the chain with
+    diagonal diag - sigma (a list) and -b beside it, three roundings a
+    node, up to the first that is not positive."""
     b2, pivots, d = b * b, [], math.inf
     for a in diag:
         d = (a - sigma) - b2 / d
         pivots.append(d)
+        if not d > 0.0:
+            break
+    return pivots
+
+
+def _chain_end(diag: list, b: float, sigma: float) -> tuple[float, float, float]:
+    """(g, dg, d) of the chain with diagonal diag - sigma (a list) and -b
+    beside it, ending at its last node: its last pivot d (_pivots), g =
+    b^2 / d and dg = b^2 |q|^2, q = (chain)^-1 e, e the unit vector of its
+    last node: q_n = 1 / d and q_k = q_(k+1) b / p_k (as
+    operator1d._tail_first forms q).  Scalar rows: the chains it serves
+    are a few dozen nodes."""
+    if not diag:
+        return 0.0, 0.0, math.inf
+    pivots = _pivots(diag, b, sigma)
+    d = pivots[-1]
     q = 1.0 / d
     total = q * q
     for piv in reversed(pivots[:-1]):
         q *= b / piv
         total += q * q
-    return b2 / d, b2 * total, d
+    return b * b / d, b * b * total, d
 
 
 def _contraction(a: float, b: float) -> tuple[float, float]:
@@ -569,8 +697,9 @@ def _band_dot(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _certified_eigenvalue(op: DiscreteOperator) -> tuple[float, float]:
-    """lambda_min of op and a rigorous lower bound on it, by Rayleigh
-    functional iteration on the Schur complement of the fold's chains.
+    """lambda_min(0), of op's L(0), and a rigorous lower bound on it, by
+    Rayleigh functional iteration on the Schur complement of the fold's
+    chains.
 
     With a = 2n the fold B's first core unknown (op.odd_core) and b =
     1/h^2, B is its core band C, the dying chain D (u1 on the left, under
@@ -598,22 +727,28 @@ def _certified_eigenvalue(op: DiscreteOperator) -> tuple[float, float]:
     raises NoConvergence after EIG_MAX_ITERS steps.
 
     The lower bound is _perron_lower_bound's on B less D (Haynsworth
-    again, D - sigma being diagonally dominant), V's rows in natural order
-    before the core's, its Schur term at core row 0 bounded above at rho
-    (_dying_bound): for the vector of one more step of inverse iteration,
-    at ell = rho - delta / 8, extended over V by its exact response
-    (_free_response).  NoConvergence is raised unless it is within delta
-    of rho."""
-    a, cols, (dying, free) = op.odd_core()
+    again, D - sigma being diagonally dominant), its Schur term at core
+    row 0 bounded above at rho (_dying_bound), for the vector of one more
+    step of inverse iteration, at ell = rho - delta / 8, on the core (x_C,
+    floored at tiny) and extended over V by x_1 r, r = b (V - ell)^-1 e_n
+    its exact response (_free_response at tau = ell - p, positive below
+    the pole).  Then (V - ell) r = b e_n makes every quotient on V's rows
+    ell exactly, its last too, whose link to core row 1 adds -b x_1
+    against the b x_1 of r's end: nothing of V is evaluated.  V enters
+    core row 1 only as -b x_1 r_n, i.e. g_V(ell) = b r_n off its quotient,
+    which _free_bound bounds above, with its closed form's roundings.
+    With p != 0, tau = ell - p is rounded, and V's quotients are tau + p,
+    within eps |tau| of ell.  NoConvergence is raised unless the bound is
+    within delta of rho."""
+    a, cols, dying, (d_lo, _), v_pot = op.odd_core()
     n, b, core = a // 2, 1.0 / op.grid.h ** 2, fold(cols)
     nc = core.shape[1]
-    p = float(free[0]) - 2.0 * b if n else 0.0
-    if n and np.any(free != free[0]):
-        raise ValueError("the fold's u2 chain is not free: its potential is not constant")
+    p = op._diagonal(v_pot, 0.0) - 2.0 * b if n else 0.0
     pole = p + 4.0 * b * math.sin(math.pi / (2 * (n + 1))) ** 2 if n else math.inf
-    r, _ = _contraction(float(np.min(dying, initial=math.inf)) - pole, b)
+    d_min = op._diagonal(d_lo, 0.0)     # of L(0): the smallest of D's diagonal
+    r, _ = _contraction(d_min - pole, b)
     j = n if r >= 1.0 else min(n, math.ceil(math.log(np.finfo(float).eps) / math.log(r)))
-    tail = dying[n - j:].tolist()
+    tail = op._diagonal(dying[n - j:], 0.0).tolist()
 
     @functools.lru_cache(maxsize=4)
     def terms(sigma):
@@ -712,52 +847,73 @@ def _certified_eigenvalue(op: DiscreteOperator) -> tuple[float, float]:
         raise NoConvergence(f"eigenvalue certificate failed: lambda_min is below "
                             f"{ell:.17g}, under rho = {rho:.17g}", last_value=rho) from None
     u = step(signs * np.abs(u), ell, lambda v: pbtrs(factor, v))
-    # V, then the core and its mirrors: B less D, but for the sign of V's
-    # links (+b on row 1, as a coupling), which a +-1 scaling of V's nodes
-    # gives and which leaves its eigenvalues
-    reduced = np.empty((3, n + nc + 2))
-    reduced[0, :n], reduced[1, :n], reduced[2, :n] = 0.0, b, free
-    reduced[:, n:] = cols
-    reduced[0, n] = 0.0         # the core's link to D
-    low = _perron_lower_bound(reduced, np.concatenate((u[1] * _free_response(n, b, ell - p), u)),
-                              n, _dying_bound(dying, tail, b, rho) if n else 0.0)
+    # the core and its mirrors, B less D and V: D's Schur term at row 0,
+    # V's at row 1, and V's rows, each of whose quotients is ell - p + p
+    if n:
+        tau = ell - p
+        schur = (_dying_bound(d_min, n, tail, b, rho), _free_bound(n, b, tau))
+        low = _perron_lower_bound(cols, u, schur, ell - np.finfo(float).eps * abs(tau))
+    else:
+        low = _perron_lower_bound(cols, u)
     if not rho - low <= delta:
         raise NoConvergence(f"eigenvalue certificate failed: lower bound {low:.17g} is not "
                             f"within {delta:.3g} of {rho:.17g}", last_value=rho)
     return rho, low
 
 
-def _dying_bound(dying: np.ndarray, tail: list, b: float, sigma: float) -> float:
+def _dying_bound(d_min: float, n: int, tail: list, b: float, sigma: float) -> float:
     """An upper bound on D's Schur term g_D(sigma) = b^2 / d, d its last
     pivot at sigma, from the pivot dt of its last J = len(tail) nodes
-    alone (_chain_end).  With r and d* from _contraction at its smallest
-    diagonal less sigma (d* a lower bound on each pivot), dt is at least
-    d, and at most r^J d* above it when J < n (the pivot before the cut
-    is at most b^2 / d* off); _chain_end's roundings, with that of b^2,
-    are at most eps times the node's diagonal less sigma, or b, each, and
-    contract by r per node.  +inf when D is not diagonally dominant at
-    sigma."""
+    alone (_chain_end), D of n nodes with smallest diagonal d_min.  With
+    r and d* from _contraction at d_min less sigma (d* a lower bound on
+    each pivot), dt is at least d, and at most r^J d* above it when J < n
+    (the pivot before the cut is at most b^2 / d* off); _chain_end's
+    roundings, with that of b^2, are at most eps times the node's
+    diagonal less sigma, or b, each, and contract by r per node.  +inf
+    when D is not diagonally dominant at sigma."""
     eps = np.finfo(float).eps
-    r, d_low = _contraction((float(np.min(dying)) - sigma) * (1.0 - 4.0 * eps), b)
+    r, d_low = _contraction((d_min - sigma) * (1.0 - 4.0 * eps), b)
     if r >= 1.0:
         return math.inf
     r = r * (1.0 + 8.0 * eps)
     _, _, dt = _chain_end(tail, b, sigma)
     off = 4.0 * eps * (max(tail) + abs(sigma)) / (1.0 - r)
-    if len(tail) < len(dying):
+    if len(tail) < n:
         off += r ** len(tail) * d_low
     if not dt - off > 0.0:
         return math.inf
     return b * b * (1.0 + 4.0 * eps) / ((dt - off) * (1.0 - 2.0 * eps))
 
 
+def _free_bound(n: int, b: float, tau: float) -> float:
+    """An upper bound on the free chain's Schur term g = b^2 e^T (F -
+    tau)^-1 e of _free_chain, n >= 1, from its closed form and a bound on
+    that form's roundings; +inf at or past F's first eigenvalue.  With
+    u = eps/2 and sqrt, sin, asin, asinh, exp and expm1 each within one
+    ulp (2u) of the exact value, t = _angle is off by at most 4.2u
+    relative (asin and asinh of x <= sin(pi/4) magnify x's 1.5u by at
+    most sqrt(2)), and a = n t by 5.2u.  sin(a) then moves by |a cot a|
+    times that, relative, and exp(-t) by t times it, while -expm1(-y)
+    magnifies y's error by at most 1: so g is off by at most 3 eps (1 +
+    |n t cot n t| + |(n+1) t cot (n+1) t|) for tau > 0, 4 eps (3 + t) for
+    tau < 0 and eps at 0 (first order; 4 eps (3 + kappa) covers each)."""
+    g, _ = _free_chain(n, b, tau)
+    if not math.isfinite(g):
+        return math.inf
+    kappa = 0.0
+    if tau:
+        t = _angle(b, tau)
+        kappa = t if tau < 0.0 else sum(abs(a / math.tan(a)) for a in (n * t, (n + 1) * t))
+    return g * (1.0 + 4.0 * np.finfo(float).eps * (3.0 + kappa))
+
+
 def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> float:
     """Certified smallest eigenvalue of the interior banded matrix.
 
     L = L(0) + omega^2 I exactly, so lambda_min(omega) = lambda_min(0) +
-    omega^2: the iteration and its certificate run on L(0) (op itself at
-    omega = 0, else built from op's omega-free potentials), and omega^2
-    is added to the result and to a NoConvergence's last value.  shared,
+    omega^2: the iteration and its certificate run on L(0), whose fold
+    op.odd_core() gives free of omega, and omega^2 is added to the
+    result and to a NoConvergence's last value.  shared,
     when given, maps each Grid on which L(0) is certified positive
     definite to its lambda_min(0), so that every operator on that grid
     (of the same profile) reuses it.
@@ -774,9 +930,8 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     w2 = op.w2
     if shared is not None and op.grid in shared:
         return shared[op.grid] + w2
-    op0 = op if w2 == 0.0 else DiscreteOperator(op.grid, 0.0, op.pot1_0, op.pot2_0, op.coup)
     try:
-        rho0, low0 = _certified_eigenvalue(op0)
+        rho0, low0 = _certified_eigenvalue(op)
     except NoConvergence as exc:
         exc.last_value += w2
         raise

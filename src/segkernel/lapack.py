@@ -1,9 +1,10 @@
 """The five LAPACK routines segkernel calls, bound with ctypes.
 
 `pttrf` and `pttrs` factor and solve the uncoupled tails of the
-operator and of its reflection-odd fold (symmetric tridiagonals),
-`pbtrf` and `pbtrs` the coupled cores of both and lambda_min's shifted
-Schur complement of the fold's core where it is positive definite, and
+operator and the chain rows plain K cannot certify (symmetric
+tridiagonals), `pbtrf` and `pbtrs` the operator's coupled core, the
+Schur complement of its reflection-odd fold's core for plain K and, for
+lambda_min, shifted where it is positive definite, and
 `gbsv` gives the profile's Newton step, lambda_min's Rayleigh
 functional steps (that Schur complement shifted past lambda_min) and,
 with no subdiagonal, the back substitutions of constrained K, which

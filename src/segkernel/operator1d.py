@@ -9,20 +9,20 @@ is discretized on a uniform grid over (-R, R) with homogeneous
 Dirichlet endpoints, second-order central differences, and the two
 unknowns interleaved per node, giving a symmetric banded matrix with
 half-bandwidth 2 over the 2(N-2) interior unknowns.  The band is built
-on first use, and each matrix is factored once per operator.  The
-coupling 2 V1 V2 vanishes where the profile's tail extension sets one
-component to zero, so both factorizations eliminate uncoupled tails
-first, as one tridiagonal, and then Cholesky-factor what is left.  L's
-tails are its four chains over |x| > T: the dying u1 on the left and u2
-on the right, whose partner potential is 0 there, and the living u2 on
-the left and u1 on the right, where L is the free chain
--d2/h2 + omega^2.  What is left is the coupled core |x| <= T, whose
-size does not grow with R, and every general solve and constrained K
-use it.  The potentials are mirror exact, so on reflection-odd vectors
-L is a half-size band, the fold, whose tails are both chains at its
-left end and whose core is the small coupled one: plain K solves with
-the fold's factorization, and lambda_min reads its core and chains
-(odd_core) without factoring it.
+on first use, and L is factored once per operator.  The coupling
+2 V1 V2 vanishes where the profile's tail extension sets one component
+to zero, so the factorization eliminates uncoupled tails first, as one
+tridiagonal, and then Cholesky-factors what is left.  L's tails are its
+four chains over |x| > T: the dying u1 on the left and u2 on the right,
+whose partner potential is 0 there, and the living u2 on the left and
+u1 on the right, where L is the free chain -d2/h2 + omega^2.  What is
+left is the coupled core |x| <= T, whose size does not grow with R, and
+every general solve and constrained K use it.  The potentials are
+mirror exact, so on reflection-odd vectors L is a half-size band, the
+fold, whose two chains are at its left end and whose core is the small
+coupled one: odd_core gives its core and chains at omega = 0, checked
+once per operator, and plain K and lambda_min eliminate the chains in
+closed form; nothing of the fold is factored over its chains.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def deinterleave(grid: Grid, vec: np.ndarray) -> PairGridFunction:
 
 
 class DiscreteOperator:
-    """Assembled banded operator with two cached tail-first
-    factorizations, of L and of its fold on J-odd vectors;
-    smallest_pivot is the smallest pivot of the one computed last, set
-    once it is computed.
+    """Assembled banded operator with L's cached tail-first
+    factorization (smallest_pivot, its smallest pivot, is set once it is
+    computed) and the cached core and chains of its fold on J-odd
+    vectors (odd_core).
 
     It keeps the omega-free potentials; omega^2 enters only the diagonal,
     so L(omega) = L(0) + omega^2 I exactly.
@@ -129,7 +129,7 @@ class DiscreteOperator:
         self.pot1_0 = pot1_0        # V2^2 at interior nodes
         self.pot2_0 = pot2_0        # V1^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
-        self._factor = self._odd = None
+        self._factor = self._odd_core = None
         self.smallest_pivot = None
 
     @property
@@ -141,13 +141,13 @@ class DiscreteOperator:
         """Upper band storage of L, built on first use."""
         return self._band_columns(0, self.n_unknowns)
 
-    def _band_columns(self, lo: int, hi: int) -> np.ndarray:
-        """Columns lo..hi-1 of the band, lo even."""
+    def _band_columns(self, lo: int, hi: int, w2=None) -> np.ndarray:
+        """Columns lo..hi-1 of the band, lo even; of L(0) at w2 = 0.0."""
         j = lo // 2
         n1, n2 = j + (hi - lo + 1) // 2, j + (hi - lo) // 2
         band = np.zeros((3, hi - lo))
-        band[2, 0::2] = self._diagonal(self.pot1_0[j:n1])
-        band[2, 1::2] = self._diagonal(self.pot2_0[j:n2])
+        band[2, 0::2] = self._diagonal(self.pot1_0[j:n1], w2)
+        band[2, 1::2] = self._diagonal(self.pot2_0[j:n2], w2)
         band[1, 1::2] = self.coup[j:n2]                       # same-node coupling
         band[0, max(2 - lo, 0):] = -1.0 / self.grid.h ** 2    # same-component neighbors
         return band
@@ -191,56 +191,53 @@ class DiscreteOperator:
                 (0, hi - lo - 1, 1, hi - lo - 2), -1.0 / self.grid.h ** 2)
         return self._factor
 
-    def _diagonal(self, pot) -> np.ndarray:
-        """The diagonal entries of L over a component's potential pot."""
-        return 2.0 / self.grid.h ** 2 + (pot + self.w2)
+    def _diagonal(self, pot, w2=None):
+        """The diagonal entries of L over a component's potential pot, or
+        of L(0) at w2 = 0.0: the band's 2/h^2 + (pot + omega^2), rounded
+        as the band rounds them."""
+        return 2.0 / self.grid.h ** 2 + (pot + (self.w2 if w2 is None else w2))
 
     def odd_core(self) -> OddCore:
-        """L on J-odd vectors [a; -a reversed], J the reversal of the
+        """L(0) on J-odd vectors [a; -a reversed], J the reversal of the
         interleaved unknowns (x -> -x with u1 <-> u2), which commutes with
         L when its potentials are mirror exact (else ValueError): the fold
         B, the band's first m/2 columns less the two entries linking the
         last one across the middle (fold(band)).  B's unknowns before its
-        coupled core's first, start, are its two chains, u1 (slice(0,
-        start, 2)) and u2 (slice(1, start, 2)) over the uncoupled leading
-        nodes, which meet the core at its positions 0 and 1.
+        coupled core's first, start = 2n, are its two chains over the n
+        uncoupled leading nodes, which meet the core at its positions 0
+        and 1 by -1/h^2: D, the u1 (slice(0, start, 2)), and V, the u2
+        (slice(1, start, 2)), whose potential must be one constant (else
+        ValueError), so that V is a free chain.  Computed and checked once
+        per operator and free of omega, as L(omega) = L(0) + omega^2 I:
+        plain K builds its own core at omega, and lambda_min reads this one.
 
         B alone decides whether L is positive definite, when the coupling
         is nonnegative (else SegkernelError): with s = (+1, -1, ...),
         diag(s) L diag(s) is then an irreducible Z-matrix, so an
         eigenvector of lambda_min(L) is diag(s) p with p > 0 unique
         (Perron-Frobenius), hence J-odd, and lambda_min(B) = lambda_min(L)."""
-        if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
-                and np.array_equal(self.coup, self.coup[::-1])):
-            raise ValueError("potentials not mirror exact: L does not commute with J")
-        if np.any(self.coup < 0):
-            raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
-        h = self.n_unknowns // 2
-        coupled = self.coup[:(h + 1) // 2] != 0.0
-        # the core starts at the first coupled node and holds h-2 and h-1
-        n = min(int(np.argmax(coupled)) if coupled.any() else h, h // 2 - 1)
-        return OddCore(2 * n, self._band_columns(2 * n, h + 2),
-                       (self._diagonal(self.pot1_0[:n]), self._diagonal(self.pot2_0[:n])))
-
-    def odd_factorization(self) -> TailFirst:
-        """The factorization, computed once, of the fold B of odd_core(),
-        its tails B's two chains.  SingularSystem means L is not positive
-        definite, and the PIVOT_TOL rule reads B's pivots."""
-        if self._odd is None:
-            a, band, tails = self.odd_core()
-            core = fold(band)
-            self._odd, self.smallest_pivot = _tail_first(
-                (slice(0, a, 2), slice(1, a, 2)), tails, slice(a, a + core.shape[1]), core,
-                (0, 1), -1.0 / self.grid.h ** 2)
-        return self._odd
+        if self._odd_core is None:
+            if not (np.array_equal(self.pot1_0, self.pot2_0[::-1])
+                    and np.array_equal(self.coup, self.coup[::-1])):
+                raise ValueError("potentials not mirror exact: L does not commute with J")
+            if np.any(self.coup < 0):
+                raise SegkernelError("negative coupling 2 V1 V2: sign-flip identity fails")
+            h = self.n_unknowns // 2
+            coupled = self.coup[:(h + 1) // 2] != 0.0
+            # the core starts at the first coupled node and holds h-2 and h-1
+            n = min(int(np.argmax(coupled)) if coupled.any() else h, h // 2 - 1)
+            dying, free = self.pot1_0[:n], self.pot2_0[:n]
+            if np.any(free != free[:1]):
+                raise ValueError("the fold's u2 chain is not free: its potential is not constant")
+            self._odd_core = OddCore(
+                2 * n, self._band_columns(2 * n, h + 2, 0.0), dying,
+                (float(np.min(dying, initial=np.inf)), float(np.max(dying, initial=-np.inf))),
+                float(free[0]) if n else 0.0)
+        return self._odd_core
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for interleaved interior unknowns; rhs may be a matrix."""
         return _solve(self.factorization(), rhs, self.n_unknowns)
-
-    def solve_odd(self, rhs: np.ndarray) -> np.ndarray:
-        """solve_interior([rhs; -rhs reversed])[:m/2], one solve with B."""
-        return _solve(self.odd_factorization(), rhs, self.n_unknowns // 2)
 
     def solve(self, g: PairGridFunction) -> PairGridFunction:
         """Solve L u = g with homogeneous Dirichlet endpoints."""
@@ -263,17 +260,20 @@ class DiscreteOperator:
 
 
 class OddCore(NamedTuple):
-    """The fold's coupled core and chains, as DiscreteOperator.odd_core
-    gives them."""
+    """The fold's coupled core and chains at omega = 0, as
+    DiscreteOperator.odd_core gives them."""
 
     start: int              # the core's first unknown, 2 n for chains of n nodes
-    band: np.ndarray        # the band's columns start..m/2+1: the core's, then their mirrors'
-    tails: tuple            # the diagonals of the chains u1 and u2, in order towards the core
+    band: np.ndarray        # L(0)'s columns start..m/2+1: the core's, then their mirrors'
+    dying: np.ndarray       # D's potential V2^2 at its n nodes, in order towards the core
+    dying_range: tuple      # its smallest and largest value (+-inf with no chain)
+    free: float             # V's potential V1^2, the same at each of its nodes
 
 
 def fold(band: np.ndarray) -> np.ndarray:
-    """The fold's core band, a copy, from OddCore.band: its last column
-    less its entries linking across the middle."""
+    """The fold's core band, a copy, from the band's columns start..m/2+1
+    (OddCore.band): its last column less its entries linking across the
+    middle."""
     core = band[:, :-2].copy()
     core[1:, -1] -= band[:2, -2]
     return core

@@ -13,6 +13,7 @@ from segkernel.errors import NoConvergence
 from segkernel.invertibility import (
     _certified_eigenvalue,
     _chain_end,
+    _free_bound,
     _free_chain,
     _free_response,
     smallest_eigenvalue,
@@ -84,7 +85,8 @@ def test_certificate_where_the_dying_tail_underflows(table):
     # the certificate runs on the fold less that chain, its Schur term
     # bounded above, and still brackets lambda_min within delta
     op = assemble(table, 0.0, Grid(200.0, 16001))
-    assert np.any(op.odd_factorization().q[0] == 0.0)
+    # L's left dying chain is the fold's: u1 over the leading uncoupled nodes
+    assert np.any(op.factorization().q[0] == 0.0)
     rho, low = _certified_eigenvalue(op)
     core = operator1d.fold(op.odd_core().band)
     delta = max(1e-6 * rho, 64.0 * np.finfo(float).eps * np.max(core[2]))
@@ -131,12 +133,34 @@ def test_free_chain_past_its_first_eigenvalue():
     assert _free_chain(0, b, 0.01) == (0.0, 0.0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("tau", [-3e-3, -2e-7, 0.0, 2e-7, 3e-5, 1.3e-4, 0.17, 0.1742])
+def test_free_bound_covers_the_closed_form(tau):
+    # the certificate's bound on g_V(ell) lies above g's closed form
+    # evaluated in np.longdouble, up to just under the first eigenvalue
+    # (0.17430), where sin((n+1) t) -> 0 magnifies the roundings
+    n, b = 300, 1600.0
+    ld = np.longdouble
+    t = 2 * (np.arcsin(np.sqrt(ld(abs(tau)) / (4 * ld(b)))) if tau >= 0
+             else np.arcsinh(np.sqrt(ld(-tau) / (4 * ld(b)))))
+    if tau > 0:
+        want = ld(b) * np.sin(n * t) / np.sin((n + 1) * t)
+    elif tau < 0:
+        want = ld(b) * np.exp(-t) * np.expm1(-2 * n * t) / np.expm1(-2 * (n + 1) * t)
+    else:
+        want = ld(b) * n / (n + 1)
+    bound = _free_bound(n, b, tau)
+    assert want <= bound and _free_chain(n, b, tau)[0] <= bound <= 1.01 * float(want)
+    assert _free_bound(n, b, 0.175) == math.inf
+
+
 @pytest.mark.parametrize("sigma", [-1.0, 0.0, 2e-3])
 def test_dying_chain_from_its_last_nodes(table, sigma):
     # the dying chain's pivot, Schur term and derivative from scalar rows
     # against LAPACK's factor of the same nodes
     op = assemble(table, 0.0, Grid(80.0, 6401))
-    dying = op.odd_core().tails[0]
+    dying = op._diagonal(op.odd_core().dying)
     g, dg, bq = chain_by_pttrf(dying[-40:] - sigma, 1600.0)
     got = _chain_end(dying[-40:].tolist(), 1600.0, sigma)
     assert abs(got[0] - g) <= 1e-14 * g and abs(got[1] - dg) <= 1e-13 * dg

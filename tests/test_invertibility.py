@@ -40,25 +40,21 @@ def dense_k(table, op, ctx, elements=None):
 
 
 def count_operator_calls(monkeypatch):
-    """Counts, from now on, of the factorizations DiscreteOperator
-    computes (not those it returns from its cache), of L and of its odd
-    half, and of its solves with either."""
+    """Counts, from now on, of the factorizations of L DiscreteOperator
+    computes (not those it returns from its cache) and of its solves."""
     calls = {"factorizations": 0, "solves": 0}
-    for factor_name, cache, solve_name in (("factorization", "_factor", "solve_interior"),
-                                           ("odd_factorization", "_odd", "solve_odd")):
-        factorization = getattr(DiscreteOperator, factor_name)
-        solve = getattr(DiscreteOperator, solve_name)
+    factorization, solve = DiscreteOperator.factorization, DiscreteOperator.solve_interior
 
-        def counting_factorization(op, factorization=factorization, cache=cache):
-            calls["factorizations"] += getattr(op, cache) is None
-            return factorization(op)
+    def counting_factorization(op):
+        calls["factorizations"] += op._factor is None
+        return factorization(op)
 
-        def counting_solve(op, rhs, solve=solve):
-            calls["solves"] += 1
-            return solve(op, rhs)
+    def counting_solve(op, rhs):
+        calls["solves"] += 1
+        return solve(op, rhs)
 
-        monkeypatch.setattr(DiscreteOperator, factor_name, counting_factorization)
-        monkeypatch.setattr(DiscreteOperator, solve_name, counting_solve)
+    monkeypatch.setattr(DiscreteOperator, "factorization", counting_factorization)
+    monkeypatch.setattr(DiscreteOperator, "solve_interior", counting_solve)
     return calls
 
 
@@ -243,7 +239,7 @@ class TestExactNorm:
         assert k >= 0.98 * bound
 
     def test_size_guard(self, table, monkeypatch):
-        # the guard bounds constrained K only; plain K is one banded solve
+        # the guard bounds constrained K only; plain K is one solve of the fold's core
         grid = Grid(10.0, 201)
         op = assemble(table, 0.5, grid)
         ctx = NormContext(0.5)
@@ -314,7 +310,7 @@ def test_negative_coupling_fails_the_sign_structure(table):
     flipped = DiscreteOperator(grid, 0.5, op.pot1_0, op.pot2_0, -op.coup)
     assert np.any(flipped.band[1] < 0)
     for compute in (lambda: inv_constant_exact(flipped, NormContext(0.5)),
-                    lambda: smallest_eigenvalue(flipped), flipped.odd_factorization):
+                    lambda: smallest_eigenvalue(flipped), flipped.odd_core):
         with pytest.raises(SegkernelError, match="negative coupling"):
             compute()
     v = np.ones(flipped.n_unknowns // 2)
@@ -369,11 +365,11 @@ class TestEigenvalue:
 
     def test_no_certificate_factorization(self, table, monkeypatch):
         # lambda_min factors no operator, of L(0) or of L, and solves with
-        # neither: it works on the fold's coupled core alone
+        # neither: it works on the fold's coupled core alone, as plain K does
         grid = Grid(40.0, 3201)
         op = assemble(table, 0.0, grid)
-        op.odd_factorization()
         calls = count_operator_calls(monkeypatch)
+        inv_constant_exact(op, NormContext(0.5))
         smallest_eigenvalue(op)
         smallest_eigenvalue(assemble(table, 0.3, grid))
         assert calls == {"factorizations": 0, "solves": 0}

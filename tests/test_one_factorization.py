@@ -1,6 +1,7 @@
 """Each matrix is factored once: L by one tail-first elimination of its
-four chains and a banded Cholesky factorization of its coupled core, its
-fold B on reflection-odd vectors by one tail-first elimination.  B alone
+four chains and a banded Cholesky factorization of its coupled core, the
+core of its fold B on reflection-odd vectors, the chains eliminated in
+closed form, once per plain K.  B alone
 decides whether L is positive definite, by the Perron argument: with
 coupling >= 0, diag(s) L diag(s), s = (+1, -1, ...), is an irreducible
 Z-matrix, so an eigenvector of lambda_min(L) is diag(s) p with p > 0,
@@ -9,7 +10,7 @@ J-odd, and lambda_min(B) = lambda_min(L)."""
 import numpy as np
 import pytest
 
-from segkernel import operator1d
+from segkernel import invertibility, operator1d
 from segkernel.errors import SingularSystem
 from segkernel.invertibility import inv_constant_estimate, inv_constant_exact, smallest_eigenvalue
 from segkernel.lapack import pbtrf, pbtrs
@@ -43,14 +44,15 @@ def test_lambda_min_eigenvector_is_j_odd(table, r_val, n):
 def test_fold_refuses_indefinite_l(table, r_val, n):
     # the potentials shifted midway between lambda_1 and lambda_2 of L:
     # L has one negative eigenvalue, on a J-odd eigenvector, so B has it
-    # too and the fold's factorization refuses, as L's does
+    # too and plain K, on the fold's core, refuses, as L's factorization does
     grid = Grid(r_val, n)
     op0 = assemble(table, 0.0, grid)
     eigs = np.linalg.eigvalsh(band_to_dense(op0))
     shift = 0.5 * (eigs[0] + eigs[1])
     op = DiscreteOperator(grid, 0.0, op0.pot1_0 - shift, op0.pot2_0 - shift, op0.coup)
     assert np.all(op.coup >= 0.0)
-    for compute in (op.odd_factorization, op.factorization, lambda: smallest_eigenvalue(op)):
+    for compute in (lambda: inv_constant_exact(op, NormContext(0.5)), op.factorization,
+                    lambda: smallest_eigenvalue(op)):
         with pytest.raises(SingularSystem):
             compute()
     assert op.smallest_pivot is None
@@ -58,29 +60,32 @@ def test_fold_refuses_indefinite_l(table, r_val, n):
 
 def test_one_factor_per_matrix(table, monkeypatch):
     # lambda(0), plain and constrained exact K, the estimate and a solve
-    # on one omega = 0 operator: one pbtrf of L's coupled core, one of
-    # the fold's core (plain K's); lambda(0) factors neither, only shifted
-    # Schur complements of the fold's core
+    # on one omega = 0 operator: one pbtrf of L's coupled core and one of
+    # the fold's core Schur complement (plain K's, made by invertibility);
+    # lambda(0) factors neither, only shifted Schur complements of the
+    # fold's core
     grid = Grid(20.0, 201)
     op = assemble(table, 0.0, grid)
-    shapes = []
+    shapes = {"operator1d": [], "invertibility": []}
+    for module in (operator1d, invertibility):
+        def counting(band, name=module.__name__.split(".")[-1]):
+            shapes[name].append(np.shape(band))
+            return pbtrf(band)
 
-    def counting(band):
-        shapes.append(np.shape(band))
-        return pbtrf(band)
-
-    monkeypatch.setattr(operator1d, "pbtrf", counting)
+        monkeypatch.setattr(module, "pbtrf", counting)
     ctx, elements = NormContext(0.5), [kernel_basis(table, grid).z1]
     smallest_eigenvalue(op)
-    assert shapes == [] and op._odd is None and op._factor is None
+    assert shapes["operator1d"] == [] and op._factor is None
+    shapes["invertibility"].clear()
     inv_constant_exact(op, ctx)
     inv_constant_exact(op, ctx, orth_elements=elements)
     inv_constant_estimate(op, ctx, orth_elements=elements)
     rng = np.random.default_rng(0)
     op.solve(PairGridFunction(grid, rng.standard_normal(grid.N), rng.standard_normal(grid.N)))
-    core, f = op.odd_factorization().core, op.factorization()
+    start, f = op.odd_core().start, op.factorization()
     kept = np.arange(op.n_unknowns)[f.core]
-    assert 0 < core.start and shapes == [(3, core.stop - core.start), (3, len(kept))]
+    assert 0 < start and shapes["invertibility"] == [(3, op.n_unknowns // 2 - start)]
+    assert shapes["operator1d"] == [(3, len(kept))]
     assert len(f.chains) == 4 and len(kept) < op.n_unknowns
     assert op.smallest_pivot == float(min(np.min(f.d), np.min(f.core_factor[2] ** 2)))
     # a right-hand side that vanishes on the chains is solved on the core

@@ -1,6 +1,6 @@
 """L on reflection-odd vectors: J reverses the interleaved unknowns
 (x -> -x with u1 <-> u2), L commutes with it, and lambda_min and plain K
-are solved with the half-size fold of L on J-odd vectors."""
+are solved on the core of the half-size fold of L on J-odd vectors."""
 
 import numpy as np
 import pytest
@@ -56,35 +56,34 @@ def test_potentials_from_the_left_half(table, monkeypatch, r_val, n):
     half=st.integers(20, 300),
     r_val=st.floats(5.0, 20.0),
     omega=st.floats(0.0, 0.5),
-    cols=st.sampled_from([(), (2,)]),
+    theta=st.floats(0.1, 1.0),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_odd_solve_matches_full_solve(table, parity, half, r_val, omega, cols, seed):
+def test_odd_solve_matches_full_solve(table, parity, half, r_val, omega, theta, seed):
     # R > T = 12 leaves uncoupled tails; the fold's core then holds the
-    # coupled middle only
+    # coupled middle only.  The full solution of a J-odd right-hand side is
+    # J-odd, and plain K, on the fold's core, is the full solve's
     op = assemble(table, omega, Grid(r_val, 2 * half + parity))
-    a = np.random.default_rng(seed).standard_normal((op.n_unknowns // 2, *cols))
+    a = np.random.default_rng(seed).standard_normal(op.n_unknowns // 2)
     want = op.solve_interior(odd(a))
-    got = op.solve_odd(a)
-    scale = np.max(np.abs(want))
-    assert got.shape == a.shape
-    assert np.max(np.abs(got - want[:len(a)])) <= 1e-12 * scale
-    # the full solution is J-odd too
-    assert np.max(np.abs(odd(want[:len(a)]) - want)) <= 1e-12 * scale
+    assert np.max(np.abs(odd(want[:len(a)]) - want)) <= 1e-12 * np.max(np.abs(want))
+    ctx = NormContext(theta)
+    s = np.tile([1.0, -1.0], op.n_unknowns // 2)
+    k_full = np.max(s * op.solve_interior(s * _interior_weights(op, ctx)))
+    assert abs(inv_constant_exact(op, ctx) - k_full) <= 1e-12 * k_full
 
 
 @pytest.mark.parametrize("n", [64001, 64000])
 @pytest.mark.parametrize("omega", [0.0, 0.05])
 def test_north_star_values_match_full_system(table, omega, n):
-    # at omega = 0.05 the fold and the full solve agree to 2e-10.  At
-    # omega = 0, lambda(0) = 3.7e-6, they differ by the conditioning of
-    # L(0) (K by 1.0e-10 and 4.3e-11, lambda by 8.3e-11 and 3.6e-11).  Against
-    # solves refined with np.longdouble residuals the fold is no farther
-    # off than one Cholesky factorization of L's whole band: K 8.3e-10
-    # against 1.3e-9 and 2.8e-10 against 6.9e-10, lambda 8.9e-10 against
-    # 1.7e-9 and 3.0e-10 against 7.4e-10 (N = 64001, 64000), and neither is
-    # the full solve, L's four chains eliminated first: K 7.3e-10 and
-    # 2.4e-10, lambda 8.1e-10 and 2.6e-10
+    # at omega = 0.05 the fold's core and the full solve agree to 2e-10.
+    # At omega = 0, lambda(0) = 3.7e-6, they differ by the conditioning of
+    # L(0).  Against solves refined with np.longdouble residuals neither is
+    # farther off than one Cholesky factorization of L's whole band (K
+    # 1.3e-9 and 6.9e-10, lambda 1.7e-9 and 7.4e-10, N = 64001, 64000):
+    # plain K, refined on the fold's core, 1.2e-12 and 5.1e-13, lambda on
+    # that core 5.2e-11 and 8e-13; the full solve, L's four chains
+    # eliminated first, K 7.3e-10 and 2.4e-10, lambda 8.1e-10 and 2.6e-10
     grid = Grid(800.0, n)
     op = assemble(table, omega, grid)
     weights = _interior_weights(op, NormContext(0.5))
@@ -129,8 +128,7 @@ def test_unmirrored_operator_raises(table):
 def test_singular_coarse_grid_raises(table):
     # R = 400 on N = 4001 (h = 0.2): L(0) is not positive definite
     op = assemble(table, 0.0, Grid(400.0, 4001))
-    for compute in (op.odd_factorization, op.factorization,
-                    lambda: smallest_eigenvalue(op),
+    for compute in (op.factorization, lambda: smallest_eigenvalue(op),
                     lambda: inv_constant_exact(op, NormContext(0.5))):
         with pytest.raises(SingularSystem):
             compute()
@@ -141,7 +139,8 @@ def test_positive_definite_odd_half_does_not_hide_indefinite_l(table):
     # E, -1 on every u2, maps J-odd vectors to J-even ones, and E L E is L
     # with its coupling negated: shifted between lambda_min and the next
     # eigenvalue, E L E is indefinite while its odd fold is definite.  The
-    # fold decides definiteness only for coupling >= 0, so it refuses
+    # fold decides definiteness only for coupling >= 0, so plain K and
+    # lambda_min, both on its core, refuse
     grid = Grid(10.0, 201)
     op0 = assemble(table, 0.0, grid)
     eigs = np.linalg.eigvalsh(band_to_dense(op0))
@@ -151,7 +150,7 @@ def test_positive_definite_odd_half_does_not_hide_indefinite_l(table):
     fold = fold[:, :op.n_unknowns // 2] - fold[:, op.n_unknowns // 2:][:, ::-1]
     assert np.linalg.eigvalsh(fold)[0] > 0.0
     with pytest.raises(SegkernelError, match="negative coupling"):
-        op.odd_factorization()
+        inv_constant_exact(op, NormContext(0.5))
     with pytest.raises(SegkernelError, match="negative coupling"):
         smallest_eigenvalue(op)
     assert op.smallest_pivot is None
