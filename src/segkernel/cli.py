@@ -52,14 +52,30 @@ def _float_list(text, flag) -> list[float]:
     return values
 
 
-def _checked_list(text, flag, zero_ok=False) -> list[float]:
-    """Comma list (or a single number) of finite values, each positive,
-    or nonnegative when zero_ok; otherwise a ValueError names the flag."""
+def _checked_list(text, flag) -> list[float]:
+    """Comma list (or a single number) of finite positive values;
+    otherwise a ValueError names the flag."""
     values = _float_list(text, flag)
-    if not all(math.isfinite(v) and (v > 0 or zero_ok and v == 0) for v in values):
-        kind = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{flag} values must be finite and {kind}")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"{flag} values must be finite and positive")
     return values
+
+
+def _checked_omegas(text) -> list[float]:
+    """--omega as a comma list (or a single number) of values >= 0 whose
+    squares, the operator's omega^2, are finite; else a ValueError names it."""
+    values = _float_list(text, "--omega")
+    if not all(v >= 0 and math.isfinite(v * v) for v in values):
+        raise ValueError("--omega values must be nonnegative, with a finite square")
+    return values
+
+
+def _grid(r_val, n) -> Grid:
+    """Grid(r_val, n), its refusal naming the flags."""
+    try:
+        return Grid(r_val, n)
+    except ValueError as exc:
+        raise ValueError(f"--R/--N: {exc}") from None
 
 
 def _checked_nodes(text, odd_increasing=False) -> list[int]:
@@ -128,9 +144,10 @@ def cmd_profile(args) -> int:
 
 def cmd_solve(args) -> int:
     _checked_list(args.theta, "--theta")
-    _checked_list(args.omega, "--omega", zero_ok=True)
+    _checked_omegas(args.omega)
     _checked_list(args.R, "--R")
     n_list = _checked_nodes(args.N, odd_increasing=True)
+    _grid(args.R, n_list[-1])       # the finest
     table = _resolve_profile(args)
     cfg = {
         "command": "solve", "theta": args.theta, "omega": args.omega,
@@ -185,7 +202,7 @@ def cmd_counterexample(args) -> int:
 
 
 def _sweep_plan(args) -> list[SweepPoint]:
-    omegas = _checked_list(args.omega, "--omega", zero_ok=True)
+    omegas = _checked_omegas(args.omega)
     _checked_list(args.theta, "--theta")
     _checked_nodes(args.N, odd_increasing=True)     # the counterexample bound needs odd N
     products = [] if args.omegaR is None else _checked_list(args.omegaR, "--omegaR")
@@ -202,7 +219,7 @@ def _sweep_plan(args) -> list[SweepPoint]:
         raise ValueError("need --omegaR or --R")
     return [
         SweepPoint(theta=args.theta, omega=om, R=r_val,
-                   N=args.N or default_node_count(r_val),
+                   N=_grid(r_val, args.N or default_node_count(r_val)).N,
                    orth_mode=args.orth_mode, method=args.method)
         for om, r_val in pairs
     ]
@@ -240,9 +257,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eig(args) -> int:
-    omegas = _checked_list(args.omega, "--omega", zero_ok=True)
+    omegas = _checked_omegas(args.omega)
     r_list = _checked_list(args.R, "--R")
     _checked_nodes(args.N)
+    grids = [_grid(r_val, args.N or default_node_count(r_val)) for r_val in r_list]
     table = _resolve_profile(args)
     cfg = {
         "command": "eig", "omega": args.omega, "R": args.R,
@@ -252,8 +270,7 @@ def cmd_eig(args) -> int:
     shared = {}     # lambda_min(0) per grid, from smallest_eigenvalue
     ops = {}        # per grid, the operator whose potentials the others share
     for om in omegas:
-        for r_val in r_list:
-            grid = Grid(r_val, args.N or default_node_count(r_val))
+        for r_val, grid in zip(r_list, grids):
             try:
                 op = ops[grid] = ops.get(grid) or assemble(table, 0.0, grid)
                 lam = smallest_eigenvalue(

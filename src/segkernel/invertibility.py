@@ -22,7 +22,7 @@ chains, eliminated exactly first, from its Cholesky factor, which also
 solves the carriers: over
 the upper triangle, in tiles of rows and three steps: the diagonal and
 first off-diagonal of the inverse (Takahashi selected inversion in
-scalar rows, banded back substitution in segments); the triangle inside
+scalar rows, one banded back substitution); the triangle inside
 every tile, by one recurrence vectorised across the tiles; and a sweep
 up groups of tiles that sums the columns past each group in chunks whose
 sign is certified by interval bounds.  The reflection symmetry supplies
@@ -68,55 +68,18 @@ from .operator1d import DiscreteOperator, Grid, _factored, _smallest_pivot, asse
 from .profile import ProfileTable
 
 # constrained K: N = 160 R + 1 up to R = 800.  Its tracemalloc peak, L factored,
-# is ~99 B (one condition) or 146 B (two) per unknown of L: 25 or 38 MB at the guard
+# is ~124 B (one condition) or 150 B (two) per unknown of L at R = 800, and 196 B
+# or 220 B where R <= T and the core is all of L: 50 or 56 MB at the guard
 EXACT_SIZE_GUARD = 256_000
 TILE_ROWS = 128             # rows per tile of the constrained-K sweep
 CHUNK_COLUMNS = 256         # even; chunk width up to m = 2**16, then ~ sqrt(m)
 GROUP_TILES = 4             # tiles per step of the far sweep's anchor
-SOLVE_SEGMENT = 2 ** 14     # unknowns per back substitution of the inverse diagonals
 EIG_MAX_ITERS = 100          # a guard: lambda_min takes 2 or 3 steps on the fold's core
 
 
 def _interior_weights(op: DiscreteOperator, ctx: NormContext) -> np.ndarray:
     """1/cosh(theta x) per interior unknown, interleaved pairwise."""
     return np.repeat(cosh_weights(op.grid.interior, ctx.theta), 2)
-
-
-def _shifted(x, s, lo, end):
-    """x_{i-s} at i = lo..end-1, zero before x_0."""
-    out = np.zeros(end - lo)
-    out[max(s - lo, 0):] = x[max(lo - s, 0):end - s]
-    return out
-
-
-def _inverse_diagonals(factor, alpha, beta):
-    """T_ii and T_{i,i+1}, interleaved as unknowns 2i and 2i+1: the unit
-    upper-triangular band of _near_triangles, back-substituted from the
-    bottom up in segments of at most SOLVE_SEGMENT unknowns, so that no
-    band over all 2m unknowns (five rows, half of them zeros) is built.
-    A segment's band reaches into the two solved nodes below it; their
-    own rows are made identity rows, with the solved values on the right,
-    so every unknown is computed as in one back substitution of the whole
-    band, bit for bit."""
-    m = len(alpha)
-    t = np.zeros(2 * m)
-    t[0::2] = 1.0 / factor[2] ** 2
-    nodes = max(1, SOLVE_SEGMENT // 2)
-    for lo in range((m - 1) // nodes * nodes, -1, -nodes):
-        hi = min(lo + nodes, m)
-        end = min(hi + 2, m)
-        band = np.zeros((5, 2 * (end - lo)), order="F")
-        a1 = _shifted(alpha, 1, lo, end)
-        b1 = _shifted(beta, 1, lo, end)
-        band[4] = 1.0
-        band[3, 0::2] = -a1
-        band[2, 0::2], band[2, 1::2] = -a1 ** 2, -b1
-        band[1, 1::2] = -2.0 * a1 * b1
-        band[0, 0::2] = -_shifted(beta, 2, lo, end) ** 2
-        solved = band[:4, 2 * (hi - lo):]      # their rows: identity
-        solved[np.add.outer(np.arange(4), np.arange(solved.shape[1])) >= 4] = 0.0
-        t[2 * lo:2 * end] = gbsv(0, 4, band, t[2 * lo:2 * end])
-    return t
 
 
 def _near_triangles(factor, y, g, weights, c):
@@ -139,7 +102,7 @@ def _near_triangles(factor, y, g, weights, c):
               + 1 / U_ii^2,
         b_i = alpha_i a_{i+1} + beta_i b_{i+1},
     one unit upper-triangular band of 2m unknowns and bandwidth 4, solved
-    by back substitution (_inverse_diagonals).  From those two diagonals
+    by one back substitution.  From those two diagonals
     the recurrence runs up each tile on a two-row state, one numpy step
     per row for all tiles.  The state, the weights and g are held as
     (column, tile) arrays, so that each step works on whole rows.  The
@@ -152,7 +115,18 @@ def _near_triangles(factor, y, g, weights, c):
     alpha, beta = np.zeros(m), np.zeros(m)
     alpha[:-1] = -factor[1, 1:] / factor[2, :-1]
     beta[:-2] = -factor[0, 2:] / factor[2, :-2]
-    t = _inverse_diagonals(factor, alpha, beta)
+    # a_i and b_i as unknowns 2i and 2i+1 of the unit upper band: row i's
+    # alpha_i and beta_i multiply the unknowns of nodes i+1 and i+2
+    band = np.zeros((5, 2 * m), order="F")
+    band[4] = 1.0
+    band[3, 2::2] = -alpha[:-1]
+    band[2, 2::2], band[2, 3::2] = -alpha[:-1] ** 2, -beta[:-1]
+    band[1, 3::2] = -2.0 * alpha[:-1] * beta[:-1]
+    band[0, 4::2] = -beta[:-2] ** 2
+    t = np.zeros(2 * m)
+    t[0::2] = 1.0 / factor[2] ** 2
+    t = gbsv(0, 4, band, t)
+    del band
     d0, d1 = t[0::2], t[1::2]
     first = np.arange(n_tiles) * c - pad           # each tile's first (padded) row
     cols = np.maximum(np.arange(c)[:, None] + first, 0)    # the padding clamped to 0
@@ -406,7 +380,7 @@ def _row_sums(factor, y, g, weights) -> np.ndarray:
 
     1. _near_triangles: the diagonal and first off-diagonal of T, from
        the same relation at j = i and j = i + 1 (Takahashi, Fagan & Chin
-       1973), one banded back substitution in scalar rows, in segments.
+       1973), one banded back substitution in scalar rows.
     2. _near_triangles: from those, the row recurrence up every tile at
        once gives the tile's triangle j >= i of M, hence its row
        sums and |M_ii|; the propagator P = -U_tt^-1 U_ta of each row, so
@@ -482,8 +456,7 @@ def _row_sums(factor, y, g, weights) -> np.ndarray:
         np.abs(chunk, out=chunk)[straddle] = 0.0
         return chunk.sum(axis=1)
 
-    for q in np.array_split(np.arange(n_chunks), -(-n_chunks // 64)):   # bounded temporaries
-        chunk_stats(np.arange(2, 2 + k), q)
+    chunk_stats(np.arange(2, 2 + k), np.arange(n_chunks))
     eye = np.eye(2 + k)
     tiles = list(zip(anchor[::-1], range(m, 0, -c)))
     for first in range(0, len(tiles), GROUP_TILES):
@@ -913,10 +886,10 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     L = L(0) + omega^2 I exactly, so lambda_min(omega) = lambda_min(0) +
     omega^2: the iteration and its certificate run on L(0), whose fold
     op.odd_core() gives free of omega, and omega^2 is added to the
-    result and to a NoConvergence's last value.  shared,
-    when given, maps each Grid on which L(0) is certified positive
-    definite to its lambda_min(0), so that every operator on that grid
-    (of the same profile) reuses it.
+    result and to a NoConvergence's last value.  shared, when given,
+    maps each Grid to its certified pair (lambda_min(0), its lower bound),
+    so that every operator on that grid (of the same profile) reuses it,
+    whatever its sign; a NoConvergence of the iteration is not kept.
 
     As diag(s) L diag(s) is an irreducible Stieltjes matrix, s = (+1, -1,
     ...), the lambda_min eigenvector of L is diag(s) p with p > 0 unique
@@ -929,14 +902,15 @@ def smallest_eigenvalue(op: DiscreteOperator, shared: dict | None = None) -> flo
     """
     w2 = op.w2
     if shared is not None and op.grid in shared:
-        return shared[op.grid] + w2
-    try:
-        rho0, low0 = _certified_eigenvalue(op)
-    except NoConvergence as exc:
-        exc.last_value += w2
-        raise
-    if shared is not None and low0 > 0.0:
-        shared[op.grid] = rho0
+        rho0, low0 = shared[op.grid]
+    else:
+        try:
+            rho0, low0 = _certified_eigenvalue(op)
+        except NoConvergence as exc:
+            exc.last_value += w2
+            raise
+        if shared is not None:
+            shared[op.grid] = rho0, low0
     if low0 + w2 > 0.0:
         return rho0 + w2
     if rho0 + w2 <= 0.0:

@@ -7,9 +7,9 @@ Schur complement of its reflection-odd fold's core for plain K and, for
 lambda_min, shifted where it is positive definite, and
 `gbsv` gives the profile's Newton step, lambda_min's Rayleigh
 functional steps (that Schur complement shifted past lambda_min) and,
-with no subdiagonal, the back substitutions of constrained K, which
-give the diagonal and first off-diagonal of the operator's core's
-inverse.  The symbols come from the LAPACK that numpy has already loaded: opening
+with no subdiagonal, constrained K's one back substitution, which gives
+the diagonal and first off-diagonal of the operator's core's inverse.
+The symbols come from the LAPACK that numpy has already loaded: opening
 numpy's linalg extension with ctypes resolves them through that
 module's own dependency, so no second LAPACK is imported.  On the numpy
 wheels that is scipy-openblas with 64-bit integers and names such as

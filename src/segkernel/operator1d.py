@@ -56,6 +56,9 @@ class Grid:
             raise ValueError("need at least 5 nodes")
         if not (np.isfinite(self.R) and self.R > 0):
             raise ValueError("R must be finite and positive")
+        b = 1.0 / self.h ** 2 if self.h ** 2 else np.inf
+        if not np.isfinite(b * b):      # plain K and lambda_min form b^2 = 1/h^4
+            raise ValueError(f"R = {self.R!r} on {self.N} nodes: 1/h^4 overflows")
 
     @property
     def h(self) -> float:
@@ -126,6 +129,8 @@ class DiscreteOperator:
         self.grid = grid
         self.omega = float(omega)
         self.w2 = self.omega * self.omega
+        if not (self.omega >= 0 and np.isfinite(self.w2)):
+            raise ValueError("omega must be nonnegative, with a finite square")
         self.pot1_0 = pot1_0        # V2^2 at interior nodes
         self.pot2_0 = pot2_0        # V1^2 at interior nodes
         self.coup = coup            # 2 V1 V2 at interior nodes
@@ -412,8 +417,6 @@ def assemble(p: ProfileTable, omega: float, grid: Grid) -> DiscreteOperator:
     x <= 0 are evaluated and those x > 0 are their mirrors with the
     components swapped, which is what _potentials gives there bit for
     bit, as the grid is mirror exact."""
-    if not (np.isfinite(omega) and omega >= 0):
-        raise ValueError("omega must be finite and nonnegative")
     n = grid.N - 2
     half = (n + 1) // 2
     pot1, pot2, coup = _potentials(p, grid.interior[:half])

@@ -5,7 +5,10 @@ banded code paths they are used to check.
 """
 
 import numpy as np
+import pytest
 
+from segkernel.invertibility import _interior_weights
+from segkernel.norms import Projector
 from segkernel.profile import eval_profile
 
 
@@ -26,6 +29,37 @@ def dense_matrix(table, omega, grid):
             a[i1, i1 + 2] = a[i1 + 2, i1] = -1.0 / h2
             a[i2, i2 + 2] = a[i2 + 2, i2] = -1.0 / h2
     return a
+
+
+@pytest.fixture(scope="module")
+def dense_inverses(table):
+    """L^-1 per (grid, omega), computed once per test module."""
+    cache = {}
+
+    def inverse(grid, omega):
+        if (grid, omega) not in cache:
+            cache[grid, omega] = np.linalg.inv(dense_matrix(table, omega, grid))
+        return cache[grid, omega]
+
+    return inverse
+
+
+def dense_rows(inv, op, ctx, elements=None):
+    """|L^-1 P diag(w)|, dense, from inv = L^-1; P the orthogonality
+    projector of elements, or the identity without them."""
+    mat = inv.copy()
+    if elements:
+        proj = Projector(elements, op.grid, ctx)
+        mat -= (inv @ proj.carriers) @ (proj.gram_inv @ proj.zrows)
+    return np.abs(mat, out=mat) * _interior_weights(op, ctx)
+
+
+def dense_k(table, op, ctx, elements=None, inv=None):
+    """Max weighted absolute row sum of the dense L^-1 P diag(w)
+    (dense_rows), from inv = L^-1 when it is given."""
+    if inv is None:
+        inv = np.linalg.inv(dense_matrix(table, op.omega, op.grid))
+    return float(np.max(dense_rows(inv, op, ctx, elements).sum(axis=1)))
 
 
 def band_to_dense(op):

@@ -249,6 +249,25 @@ class TestEigCommand:
             assert lam == smallest_eigenvalue(assemble(table, om, Grid(r_val, int(n))))
             assert lam == rec.lambda_min
 
+    def test_lambda_zero_once_per_grid_whatever_its_sign(self, cache_dir, tmp_path,
+                                                          monkeypatch):
+        # lambda(0) < 0 at R = 400 on N = 4001: the omega = 0 row is refused
+        # and the omega > 0 rows come from the same certified pair
+        calls = []
+        iterate = invertibility._certified_eigenvalue
+
+        def counting(op):
+            calls.append(op.grid)
+            return iterate(op)
+
+        monkeypatch.setattr(invertibility, "_certified_eigenvalue", counting)
+        out = tmp_path / "eig.csv"
+        assert main(["eig", *common_args(cache_dir), "--omega", "0,0.1,0.2",
+                     "--R", "400", "--N", "4001", "--out", str(out)]) == 2
+        assert calls == [Grid(400.0, 4001)]
+        rows = [l.split(",") for l in read_lines(out) if not l.startswith("#")][1:]
+        assert [float(r[0]) for r in rows] == [0.1, 0.2]
+
     def test_eig_assembles_once_per_grid(self, cache_dir, tmp_path, monkeypatch):
         # every row as from its own operator, with one assemble per grid
         from segkernel import cli
@@ -419,6 +438,15 @@ class TestConfigAndErrors:
         (["eig", "--omega", "0.1", "--R", "x"], "--R"),
         (["counterexample", "--R", "5x"], "--R"),
         (["solve", "--N", "801,abc"], "--N"),
+        # a spacing whose 1/h^4 overflows, and an omega whose square does
+        (["solve", "--R", "1e-300"], "--R"),
+        (["eig", "--omega", "0.1", "--R", "1e-300"], "--R"),
+        (["sweep", "--omega", "0.1", "--R", "1e-160"], "--R"),
+        (["sweep", "--omega", "0.1", "--R", "1e-150"], "--R"),
+        (["eig", "--omega", "0.1", "--R", "10", "--N", str(10 ** 80)], "--N"),
+        (["eig", "--omega", "1e160", "--R", "10"], "--omega"),
+        (["sweep", "--omega", "1e200", "--R", "10"], "--omega"),
+        (["solve", "--omega", "1e200"], "--omega"),
     ], ids=["eig-omega-nan", "eig-R-nan", "eig-R-negative", "solve-omega-nan",
             "solve-R-inf", "solve-theta-0", "counterexample-R-nan",
             "counterexample-theta-nan", "solve-N-nan", "solve-N-3",
@@ -430,7 +458,9 @@ class TestConfigAndErrors:
             "sweep-omegaR-with-R", "sweep-N-even", "sweep-omega-empty",
             "eig-omega-empty", "eig-R-empty", "counterexample-R-empty",
             "solve-N-empty", "sweep-omega-text", "eig-R-text",
-            "counterexample-R-text", "solve-N-text"])
+            "counterexample-R-text", "solve-N-text", "solve-h-tiny", "eig-h-tiny",
+            "sweep-h-underflows", "sweep-h-tiny", "eig-N-huge", "eig-omega-huge",
+            "sweep-omega-huge", "solve-omega-huge"])
     def test_bad_values_rejected_before_profile(self, tmp_path, capsys, argv, flag):
         cache = tmp_path / "cache"
         cache.mkdir()

@@ -5,23 +5,14 @@ generators.  Group, tile and chunk sizes change only the rounding."""
 
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from segkernel import invertibility
-from segkernel.invertibility import _interior_weights, inv_constant_exact
-from segkernel.norms import NormContext, Projector, kernel_basis
+from segkernel.invertibility import inv_constant_exact
+from segkernel.norms import NormContext, kernel_basis
 from segkernel.operator1d import Grid, assemble
-from oracles import dense_matrix
-
-
-def dense_k(table, op, ctx, elements):
-    """Max weighted absolute row sum of the dense L^-1 P diag(w)."""
-    proj = Projector(elements, op.grid, ctx)
-    p_mat = np.eye(op.n_unknowns) - proj.carriers @ (proj.gram_inv @ proj.zrows)
-    mat = np.linalg.inv(dense_matrix(table, op.omega, op.grid)) @ p_mat
-    return float(np.max(np.abs(mat) @ _interior_weights(op, ctx)))
+from oracles import dense_k
 
 
 @pytest.mark.parametrize("n", [101, 100], ids=["odd-N", "even-N"])

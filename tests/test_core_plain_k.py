@@ -19,21 +19,9 @@ from segkernel.invertibility import (
 )
 from segkernel.norms import NormContext, cosh_weights
 from segkernel.operator1d import DiscreteOperator, Grid, assemble
-from oracles import band_to_dense, dense_matrix, refined_solve
+from oracles import band_to_dense, dense_inverses, dense_k, refined_solve
 
 THETAS = [0.5, 0.1, 0.01]
-
-
-INVERSES = {}
-
-
-def dense_k(table, op, theta):
-    """max_i sum_j |L^-1|_ij w_j from the dense inverse, kept per grid and
-    omega for the thetas."""
-    key = (op.omega, op.grid)
-    if key not in INVERSES:
-        INVERSES[key] = np.abs(np.linalg.inv(dense_matrix(table, op.omega, op.grid)))
-    return float(np.max(INVERSES[key] @ _interior_weights(op, NormContext(theta))))
 
 
 def full_k(op, theta):
@@ -59,11 +47,11 @@ def recording_chain_rows(monkeypatch):
 @pytest.mark.parametrize("omega", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("parity", [1, 0], ids=["odd-N", "even-N"])
 @pytest.mark.parametrize("r_val", [20.0, 30.0, 40.0])
-def test_matches_dense_oracle(table, r_val, parity, omega, theta):
+def test_matches_dense_oracle(table, dense_inverses, r_val, parity, omega, theta):
     # h = 0.2 and R > T = 12: both chains of the fold run over |x| > T
     op = assemble(table, omega, Grid(r_val, int(10 * r_val) + parity))
     assert op.odd_core().start > 0
-    want = dense_k(table, op, theta)
+    want = dense_k(table, op, NormContext(theta), inv=dense_inverses(op.grid, omega))
     assert abs(inv_constant_exact(op, NormContext(theta)) - want) <= 1e-10 * want
 
 
@@ -72,7 +60,7 @@ def test_chain_free_grid(table, omega):
     # R = 10 < T: no chain, the core is the whole fold
     op = assemble(table, omega, Grid(10.0, 201))
     assert op.odd_core().start == 0
-    want = dense_k(table, op, 0.5)
+    want = dense_k(table, op, NormContext(0.5))
     assert abs(inv_constant_exact(op, NormContext(0.5)) - want) <= 1e-10 * want
 
 

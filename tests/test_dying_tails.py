@@ -22,7 +22,7 @@ from segkernel.invertibility import (
 from segkernel.lapack import pbtrf, pbtrs
 from segkernel.norms import NormContext, Projector, kernel_basis
 from segkernel.operator1d import DiscreteOperator, Grid, PairGridFunction, assemble
-from oracles import dense_matrix
+from oracles import dense_inverses, dense_rows
 
 # odd and even N; R = 20, 30 and 40 > T = 12 leave dying chains
 GRIDS = [(20.0, 401), (20.0, 400), (30.0, 601), (30.0, 600), (40.0, 801), (40.0, 800)]
@@ -30,27 +30,6 @@ OMEGAS = [0.0, 0.05, 0.3]
 # (TILE_ROWS, CHUNK_COLUMNS): the defaults, one- and three-row tiles with narrow
 # chunks, and a ragged tile height with one chunk per component
 SWEEPS = [(128, 256), (1, 2), (3, 4), (41, 1024)]
-
-
-@pytest.fixture(scope="module")
-def dense_inverses(table):
-    """L^-1 per (R, N, omega), computed once."""
-    cache = {}
-
-    def inverse(grid, omega):
-        key = (grid, omega)
-        if key not in cache:
-            cache[key] = np.linalg.inv(dense_matrix(table, omega, grid))
-        return cache[key]
-
-    return inverse
-
-
-def dense_rows(inv, op, ctx, elements):
-    """|L^-1 P diag(w)|, dense."""
-    proj = Projector(elements, op.grid, ctx)
-    mat = inv - (inv @ proj.carriers) @ (proj.gram_inv @ proj.zrows)
-    return np.abs(mat, out=mat) * _interior_weights(op, ctx)
 
 
 def split(op):

@@ -20,23 +20,12 @@ from segkernel.invertibility import (
 )
 from segkernel.norms import NormContext, Projector, kernel_basis
 from segkernel.operator1d import DiscreteOperator, Grid, assemble
-from oracles import dense_matrix
+from oracles import dense_k, dense_matrix
 
 
 # (R, N, omega): odd and even node counts, and omega = 0
 DENSE_CASES = [(10.0, 201, 0.5), (10.0, 200, 0.5), (10.0, 202, 0.5), (40.0, 1201, 0.0)]
 DENSE_IDS = [f"R{r:g}-N{n}-omega{om:g}" for r, n, om in DENSE_CASES]
-
-
-def dense_k(table, op, ctx, elements=None):
-    """Max weighted absolute row sum of the dense L^-1 P diag(w)."""
-    p_mat = np.eye(op.n_unknowns)
-    if elements:
-        proj = Projector(elements, op.grid, ctx)
-        p_mat -= proj.carriers @ (proj.gram_inv @ proj.zrows)
-    dense = dense_matrix(table, op.omega, op.grid)
-    mat = np.linalg.inv(dense) @ p_mat @ np.diag(_interior_weights(op, ctx))
-    return float(np.max(np.sum(np.abs(mat), axis=1)))
 
 
 def count_operator_calls(monkeypatch):
@@ -149,32 +138,6 @@ class TestExactNorm:
         assert np.max(np.abs(anchor[:-1, 1, 0] - np.diag(inv, 1))) <= 1e-12 * scale
         assert anchor[-1, 1, 0] == 0.0 and np.array_equal(diag, anchor[:, 0, 0])
 
-    @pytest.mark.parametrize("segment", [2, 6, 64, 250])
-    def test_inverse_diagonals_in_segments(self, table, monkeypatch, segment):
-        # the back substitution in segments of a few unknowns, the top one
-        # ragged, gives the diagonals of one substitution bit for bit
-        grid = Grid(10.0, 201)
-        op = assemble(table, 0.0, grid)
-        m = op.n_unknowns
-        inv = np.linalg.inv(dense_matrix(table, 0.0, grid))
-        args = (op.factorization().core_factor, np.zeros((m + 2, 1)), np.zeros((1, m)),
-                np.ones(m), 1)
-        whole = _near_triangles(*args)[3]
-        calls = []
-
-        def counting_gbsv(kl, ku, band, b):
-            calls.append(np.shape(band)[1])
-            return gbsv(kl, ku, band, b)
-
-        monkeypatch.setattr(invertibility, "gbsv", counting_gbsv)
-        monkeypatch.setattr(invertibility, "SOLVE_SEGMENT", segment)
-        anchor = _near_triangles(*args)[3]
-        assert len(calls) == -(-2 * m // segment) and max(calls) <= segment + 4
-        assert np.array_equal(anchor, whole)
-        scale = np.max(np.abs(inv))
-        assert np.max(np.abs(anchor[:, 0, 0] - np.diag(inv))) <= 1e-12 * scale
-        assert np.max(np.abs(anchor[:-1, 1, 0] - np.diag(inv, 1))) <= 1e-12 * scale
-
     def test_one_triangular_solve(self, table, monkeypatch):
         # the diagonal and first off-diagonal of L^-1 take one back
         # substitution; the tiles, whatever their height, add no other
@@ -191,10 +154,20 @@ class TestExactNorm:
 
         monkeypatch.setattr(invertibility, "gbsv", counting_gbsv)
         for rows in (1, 2, 3, 41, 128, m, m + 1):
-            monkeypatch.setattr(invertibility, "TILE_ROWS", rows)
             calls.clear()
-            inv_constant_exact(op, ctx, orth_elements=elements)
+            with mock.patch.object(invertibility, "TILE_ROWS", rows):
+                inv_constant_exact(op, ctx, orth_elements=elements)
             assert calls == [(0, 4, (5, 2 * m))], rows
+        # a whole-band core of 16,598 unknowns (R <= T, no chain), past the
+        # 64 chunks of 256 columns: one band over all of it, and K as the
+        # solve in segments of 2**14 unknowns gave it, bit for bit
+        grid = Grid(10.0, 8301)
+        op = assemble(table, 0.0, grid)
+        m = op.n_unknowns
+        calls.clear()
+        k = inv_constant_exact(op, ctx, orth_elements=[kernel_basis(table, grid).z1])
+        assert m == 16_598 and calls == [(0, 4, (5, 2 * m))]
+        assert k == 5.102323243807019
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(
@@ -511,8 +484,8 @@ class TestSharedEigenvalue:
         grid = Grid(20.0, 801)
         shared = {}
         lam = smallest_eigenvalue(assemble(table, 0.3, grid), shared)
-        assert lam == shared[grid] + 0.3 * 0.3
-        assert shared[grid] == smallest_eigenvalue(assemble(table, 0.0, grid))
+        assert lam == shared[grid][0] + 0.3 * 0.3
+        assert shared[grid][0] == smallest_eigenvalue(assemble(table, 0.0, grid))
 
 
 class TestSweep:

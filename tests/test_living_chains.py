@@ -13,12 +13,11 @@ from segkernel.chains import _convex_sums, living_rows
 from segkernel.invertibility import (
     TILE_ROWS,
     _constrained_row_sums,
-    _interior_weights,
     inv_constant_exact,
 )
 from segkernel.norms import NormContext, Projector, kernel_basis, log_cosh
 from segkernel.operator1d import DiscreteOperator, Grid, PairGridFunction, assemble
-from oracles import dense_matrix
+from oracles import dense_inverses, dense_rows
 
 GRIDS = [(20.0, 401), (20.0, 400), (30.0, 601), (30.0, 600)]
 OMEGAS = [0.0, 0.05, 0.3]
@@ -34,29 +33,9 @@ K_REFINED = {(40.0, 1): 6.559897965211329, (80.0, 1): 7.202792649339477,
              (80.0, 2): 5.039680786235369, (160.0, 2): 5.060896579661904}
 
 
-@pytest.fixture(scope="module")
-def dense_inverses(table):
-    """L^-1 per (grid, omega), computed once."""
-    cache = {}
-
-    def inverse(grid, omega):
-        if (grid, omega) not in cache:
-            cache[grid, omega] = np.linalg.inv(dense_matrix(table, omega, grid))
-        return cache[grid, omega]
-
-    return inverse
-
-
 def unknowns(op, part):
     """The unknowns of a slice of op's factorization, in its order."""
     return np.arange(op.n_unknowns)[part]
-
-
-def dense_rows(inv, op, ctx, elements):
-    """|L^-1 P diag(w)|, dense."""
-    proj = Projector(elements, op.grid, ctx)
-    mat = inv - (inv @ proj.carriers) @ (proj.gram_inv @ proj.zrows)
-    return np.abs(mat, out=mat) * _interior_weights(op, ctx)
 
 
 def test_four_chains_around_the_coupled_core(table):
